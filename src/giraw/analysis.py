@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
 from .counting import (
+    RangeDistribution,
     WalkModel,
     path_profile,
     profile,
@@ -25,6 +26,7 @@ from .trees import RootedTree, Tree, generate_free_trees, make_path, reroot
 class Verdict(enum.Enum):
     EQUAL = "equal"
     LEFT_DOMINATED_BY_RIGHT = "left_dominated_by_right"
+    RIGHT_DOMINATED_BY_LEFT = "right_dominated_by_left"
     INCOMPARABLE = "incomparable"
 
 
@@ -35,7 +37,7 @@ class DominanceReport:
     model: WalkModel
     per_k: tuple[tuple[int, Fraction, Fraction], ...]  # (k, tail_left, tail_right)
     verdict: Verdict
-    strict_at: tuple[int, ...]  # k values where tail_left < tail_right
+    strict_at: tuple[int, ...]  # k values where the dominated side's tail is smaller
 
     def to_json_dict(self) -> dict:
         return {
@@ -55,6 +57,23 @@ class DominanceReport:
         }
 
 
+def _dominance(dl: RangeDistribution, dr: RangeDistribution) -> tuple[Verdict, tuple[int, ...]]:
+    """Verdict and strict k's of the per-k comparison of P(Range >= k).
+
+    Callers pass trees of one size and one walk model, so both distributions
+    share one denominator and their tails compare as integer counts.
+    """
+    kmax = max(len(dl.tail_counts), len(dr.tail_counts)) - 1
+    pairs = [(k, dl.tail_count(k), dr.tail_count(k)) for k in range(1, kmax + 1)]
+    if all(a == b for _, a, b in pairs):
+        return Verdict.EQUAL, ()
+    if all(a <= b for _, a, b in pairs):
+        return Verdict.LEFT_DOMINATED_BY_RIGHT, tuple(k for k, a, b in pairs if a < b)
+    if all(a >= b for _, a, b in pairs):
+        return Verdict.RIGHT_DOMINATED_BY_LEFT, tuple(k for k, a, b in pairs if a > b)
+    return Verdict.INCOMPARABLE, ()
+
+
 def compare_range(
     left: Tree, right: Tree, m: WalkModel, left_id: str = "left", right_id: str = "right"
 ) -> DominanceReport:
@@ -65,17 +84,9 @@ def compare_range(
         )
     dl = range_distribution(left, m)
     dr = range_distribution(right, m)
-    kmax = max(left.diameter(), right.diameter()) + 1
+    verdict, strict = _dominance(dl, dr)
+    kmax = max(len(dl.tail_counts), len(dr.tail_counts)) - 1
     per_k = tuple((k, dl.tail(k), dr.tail(k)) for k in range(kmax + 1))
-    if all(a == b for _, a, b in per_k):
-        verdict = Verdict.EQUAL
-        strict: tuple[int, ...] = ()
-    elif all(a <= b for k, a, b in per_k if k >= 1):
-        verdict = Verdict.LEFT_DOMINATED_BY_RIGHT
-        strict = tuple(k for k, a, b in per_k if k >= 1 and a < b)
-    else:
-        verdict = Verdict.INCOMPARABLE
-        strict = ()
     return DominanceReport(left_id, right_id, m, per_k, verdict, strict)
 
 
@@ -130,9 +141,8 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
         checked += 1
         dist = range_distribution(t, m)
         for k in range(1, n):
-            tt, tp = dist.tail(k), path_dist.tail(k)
-            if tt > tp:
-                violations.append(Violation(t, k, tt, tp))
+            if dist.tail_count(k) > path_dist.tail_count(k):
+                violations.append(Violation(t, k, dist.tail(k), path_dist.tail(k)))
     return ScanResult(n, m, family, checked, tuple(violations))
 
 
@@ -141,15 +151,11 @@ class DominationOrder:
     n: int
     model: WalkModel
     trees: tuple[Tree, ...]
-    reports: tuple[tuple[DominanceReport, ...], ...]  # reports[i][j]: trees[i] vs trees[j]
+    dominated_by: tuple[tuple[int, ...], ...]  # dominated_by[i]: j with trees[i] <= trees[j]
 
     def dominators_of(self, i: int) -> list[int]:
         """Indices j such that trees[i] is dominated by trees[j] (incl. equals)."""
-        out = []
-        for j, rep in enumerate(self.reports[i]):
-            if rep.verdict in (Verdict.EQUAL, Verdict.LEFT_DOMINATED_BY_RIGHT):
-                out.append(j)
-        return out
+        return list(self.dominated_by[i])
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,16 +167,14 @@ class DominationOrder:
 
 
 def pairwise_domination_order(n: int, m: WalkModel) -> DominationOrder:
-    """Full matrix of dominance reports over all free trees on n vertices."""
+    """Domination relation over all free trees on n vertices, one distribution each."""
     trees = tuple(generate_free_trees(n))
-    reports = tuple(
-        tuple(
-            compare_range(a, b, m, left_id=f"tree{i}", right_id=f"tree{j}")
-            for j, b in enumerate(trees)
-        )
-        for i, a in enumerate(trees)
+    dists = [range_distribution(t, m) for t in trees]
+    below = (Verdict.EQUAL, Verdict.LEFT_DOMINATED_BY_RIGHT)
+    dominated_by = tuple(
+        tuple(j for j, b in enumerate(dists) if _dominance(a, b)[0] in below) for a in dists
     )
-    return DominationOrder(n, m, trees, reports)
+    return DominationOrder(n, m, trees, dominated_by)
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,7 @@ def check_summand_comparison(legs: list[int], k: int, m: WalkModel) -> LemmaChec
         raise ValueError("identity needs at least two legs")
     a1, a2, rest = legs[0], legs[1], legs[2:]
 
-    def summand(i: int, j: int, bound: int, tab, p2, pr) -> int:
+    def summand(i: int, j: int, tab, p2, pr) -> int:
         return tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])
 
     tab_k = transfer(a1, k, m)
@@ -383,12 +387,12 @@ def check_summand_comparison(legs: list[int], k: int, m: WalkModel) -> LemmaChec
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             cases += 1
-            lo = summand(i, j, k, tab_k, p2_k, pr_k)
+            lo = summand(i, j, tab_k, p2_k, pr_k)
             if i + j <= k:
-                hi = summand(i, j, k + 1, tab_k1, p2_k1, pr_k1)
+                hi = summand(i, j, tab_k1, p2_k1, pr_k1)
                 match = (i, j)
             else:
-                hi = summand(i + 1, j + 1, k + 1, tab_k1, p2_k1, pr_k1)
+                hi = summand(i + 1, j + 1, tab_k1, p2_k1, pr_k1)
                 match = (i + 1, j + 1)
             if lo > hi:
                 ces.append((tuple(legs), k, (i, j), match, lo, hi))

@@ -18,13 +18,7 @@ from pathlib import Path
 import click
 
 from . import analysis, sampling
-from .counting import (
-    WalkModel,
-    count_bounded,
-    f_start_count,
-    range_classes,
-    range_distribution,
-)
+from .counting import WalkModel, count_bounded, range_distribution
 from .trees import Tree, TreeError, generate_free_trees, make_path, make_spider, make_star, parse_tree
 
 VIOLATION_EXIT = 2
@@ -134,12 +128,14 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
         k = t.diameter()
     if k < 0:
         raise click.ClickException("--k must be >= 0")
+    bounded = count_bounded(t, k, m)
+    below = count_bounded(t, k - 1, m) if k >= 1 else 0
     data = {
         "n": t.n,
         "k": k,
         "model": m.value,
-        "bounded_labelings": str(count_bounded(t, k, m)),
-        "range_classes": str(range_classes(t, k, m)),
+        "bounded_labelings": str(bounded),
+        "range_classes": str(bounded - below),
     }
     emit(data, fmt, out)
 
@@ -252,8 +248,8 @@ def verify_lemmas(
 ) -> None:
     """Exhaustively check one identity/inequality family; exit 2 on counterexample."""
     m = WalkModel(model)
-    leg_list = [int(x) for x in legs.split(",") if x]
     try:
+        leg_list = [int(x) for x in legs.split(",") if x]
         if lemma == "spidersums":
             result = analysis.check_spidersums(leg_list, k, m)
         elif lemma == "center-monotone":

@@ -7,7 +7,7 @@ fractions.Fraction. Nothing here touches floating point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .trees import RootedTree, Tree, reroot
@@ -26,27 +26,30 @@ class WalkModel(enum.Enum):
         return len(self.steps)
 
 
+def band_step(prof: list[int], m: WalkModel) -> list[int]:
+    """Push a profile across one edge: entry i becomes prof[i-1] + prof[i+1].
+
+    The lazy model adds prof[i]; labels outside the profile contribute zero.
+    """
+    padded = [0, *prof, 0]
+    if m is WalkModel.LAZY:
+        return [a + b + c for a, b, c in zip(padded, prof, padded[2:])]
+    return [a + c for a, c in zip(padded, padded[2:])]
+
+
 def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     """F_i^k profile of a rooted tree: entry i counts labelings with root label i.
 
     Bottom-up DP: a leaf's profile is all ones; an internal vertex multiplies,
-    over its children, the sums of the child's profile at reachable labels.
+    over its children, the band steps of the children's profiles.
     """
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
-    lazy = m is WalkModel.LAZY
     profiles: dict[int, list[int]] = {}
     for v in t.postorder():
         prof = [1] * (k + 1)
         for c in t.children[v]:
-            cp = profiles.pop(c)
-            for i in range(k + 1):
-                s = cp[i] if lazy else 0
-                if i > 0:
-                    s += cp[i - 1]
-                if i < k:
-                    s += cp[i + 1]
-                prof[i] *= s
+            prof = [p * s for p, s in zip(prof, band_step(profiles.pop(c), m))]
         profiles[v] = prof
     return profiles[t.root]
 
@@ -72,14 +75,25 @@ class RangeDistribution:
     model: WalkModel
     class_counts: dict[int, int]  # range r -> number of translation classes
     denominator: int
+    # tail_counts[k]: classes with range >= k, for k = 0..max range + 1
+    tail_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tails = [self.denominator]
+        for k in range(max(self.class_counts, default=0) + 1):
+            tails.append(tails[-1] - self.class_counts.get(k, 0))
+        object.__setattr__(self, "tail_counts", tuple(tails))
 
     def probability(self, r: int) -> Fraction:
         return Fraction(self.class_counts.get(r, 0), self.denominator)
 
+    def tail_count(self, k: int) -> int:
+        """Number of translation classes with Range >= k."""
+        return self.tail_counts[min(max(k, 0), len(self.tail_counts) - 1)]
+
     def tail(self, k: int) -> Fraction:
         """P(Range >= k)."""
-        below = sum(c for r, c in self.class_counts.items() if r < k)
-        return Fraction(self.denominator - below, self.denominator)
+        return Fraction(self.tail_count(k), self.denominator)
 
     def expected_range(self) -> Fraction:
         total = sum(r * c for r, c in self.class_counts.items())
@@ -96,27 +110,25 @@ class RangeDistribution:
         return max((r for r, c in self.class_counts.items() if c), default=0)
 
     def to_json_dict(self) -> dict:
-        diam = max(self.class_counts, default=0)
+        tails = (Fraction(c, self.denominator) for c in self.tail_counts)
         return {
             "n": self.n,
             "model": self.model.value,
             "denominator": str(self.denominator),
             "class_counts": {str(r): str(c) for r, c in sorted(self.class_counts.items())},
-            "tail": {
-                str(k): f"{self.tail(k).numerator}/{self.tail(k).denominator}"
-                for k in range(diam + 2)
-            },
+            "tail": {str(k): f"{p.numerator}/{p.denominator}" for k, p in enumerate(tails)},
         }
 
 
 def range_distribution(t: Tree, m: WalkModel) -> RangeDistribution:
-    diam = t.diameter()
-    f_prev = 0
-    counts: dict[int, int] = {}
-    for r in range(diam + 1):
-        f_r = range_classes(t, r, m)
-        counts[r] = f_r - f_prev
-        f_prev = f_r
+    """Exact range distribution from one profile DP per bound k = 0..diameter.
+
+    f^k = F^k - F^(k-1) counts classes of range <= k, so the classes of range
+    exactly r number F^r - 2F^(r-1) + F^(r-2), with F^(-1) = F^(-2) = 0.
+    """
+    rt = reroot(t, 0)
+    F = [0, 0] + [sum(profile(rt, k, m)) for k in range(t.diameter() + 1)]
+    counts = {r: F[r + 2] - 2 * F[r + 1] + F[r] for r in range(len(F) - 2)}
     return RangeDistribution(
         n=t.n,
         model=m,
@@ -129,33 +141,23 @@ def transfer(a: int, k: int, m: WalkModel) -> list[list[int]]:
     """Endpoint transfer table for the path with a edges.
 
     Entry [i][j] counts bounded labelings of P_a with endpoint labels i and j;
-    computed by iterating the one-step band matrix.
+    each row is a row of the identity pushed across a edges.
     """
     if a < 0:
         raise ValueError(f"path length must be >= 0, got {a}")
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
     table = [[int(i == j) for j in range(k + 1)] for i in range(k + 1)]
-    steps = m.steps
     for _ in range(a):
-        table = [
-            [
-                sum(row[j + d] for d in steps if 0 <= j + d <= k)
-                for j in range(k + 1)
-            ]
-            for row in table
-        ]
+        table = [band_step(row, m) for row in table]
     return table
 
 
 def path_profile(a: int, k: int, m: WalkModel) -> list[int]:
     """F_i^k(P_a) for i = 0..k, path rooted at an endpoint."""
     prof = [1] * (k + 1)
-    steps = m.steps
     for _ in range(a):
-        prof = [
-            sum(prof[i + d] for d in steps if 0 <= i + d <= k) for i in range(k + 1)
-        ]
+        prof = band_step(prof, m)
     return prof
 
 

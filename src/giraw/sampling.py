@@ -65,13 +65,6 @@ class WalkSampler:
         return labels
 
 
-def sample_walk(t: RootedTree, m: WalkModel, sampler: WalkSampler) -> WalkSample:
-    """Draw one uniform walk from a caller-supplied seeded sampler stream."""
-    if sampler.tree is not t or sampler.model is not m:
-        raise ValueError("sampler was built for a different tree or model")
-    return sampler.sample()
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     statistic: str

@@ -148,10 +148,8 @@ class Tree:
             legs.append(length)
         return sorted(legs, reverse=True)
 
-    def canonical_form(self) -> tuple:
-        """Isomorphism-invariant canonical encoding (AHU on a center root)."""
-        if self.n == 1:
-            return ()
+    def canonical_form(self) -> str:
+        """Isomorphism-invariant canonical bracket string (AHU on a center root)."""
         adj = self.adjacency()
         # find center(s) by leaf stripping
         deg = self.degrees()
@@ -170,10 +168,14 @@ class Tree:
                             leaves.append(w)
         centers = [v for v in range(self.n) if alive[v]]
 
-        def encode(root: int, parent: int) -> tuple:
-            return tuple(sorted(encode(w, root) for w in adj[root] if w != parent))
+        def encode(root: int) -> str:
+            rt = reroot(self, root)
+            codes: dict[int, str] = {}
+            for v in rt.postorder():  # children first, so no recursion
+                codes[v] = "(" + "".join(sorted(codes.pop(c) for c in rt.children[v])) + ")"
+            return codes[root]
 
-        return min(encode(c, -1) for c in centers)
+        return min(encode(c) for c in centers)
 
     def serialize(self) -> str:
         return "".join(f"{u} {v}\n" for u, v in self.edges)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from giraw import analysis
 from giraw.analysis import (
     Verdict,
     center_violations,
@@ -28,6 +29,22 @@ BOTH = [STANDARD, LAZY]
 DOUBLE_BROOM = "0 1\n1 2\n2 3\n0 4\n0 5\n3 6\n3 7"
 
 
+MIRROR = {
+    Verdict.EQUAL: Verdict.EQUAL,
+    Verdict.LEFT_DOMINATED_BY_RIGHT: Verdict.RIGHT_DOMINATED_BY_LEFT,
+    Verdict.RIGHT_DOMINATED_BY_LEFT: Verdict.LEFT_DOMINATED_BY_RIGHT,
+    Verdict.INCOMPARABLE: Verdict.INCOMPARABLE,
+}
+
+
+def same_size_tree(n: int):
+    if n == 2:
+        return st.just(make_path(1).tree)
+    return st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2).map(
+        tree_from_prufer
+    )
+
+
 class TestCompareRange:
     def test_reflexive(self):
         t = make_path(4).tree
@@ -41,6 +58,23 @@ class TestCompareRange:
         assert 3 in rep.strict_at
         by_k = {k: (a, b) for k, a, b in rep.per_k}
         assert by_k[3] == (Fraction(0), Fraction(2, 8))
+
+    def test_path_on_left_dominates_star(self):
+        rep = compare_range(make_path(3).tree, make_star(3).tree, STANDARD)
+        assert rep.verdict is Verdict.RIGHT_DOMINATED_BY_LEFT
+        assert rep.strict_at == (3,)
+
+    @given(
+        st.integers(2, 8).flatmap(lambda n: st.tuples(same_size_tree(n), same_size_tree(n))),
+        st.sampled_from(BOTH),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_swapping_sides_mirrors_verdict(self, pair, m):
+        left, right = pair
+        rep = compare_range(left, right, m)
+        swapped = compare_range(right, left, m)
+        assert swapped.verdict is MIRROR[rep.verdict]
+        assert swapped.strict_at == rep.strict_at
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -107,6 +141,28 @@ class TestDominationOrder:
         order = pairwise_domination_order(2, STANDARD)
         assert len(order.trees) == 1
         assert order.dominators_of(0) == [0]
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_agrees_with_pairwise_compare(self, m):
+        below = (Verdict.EQUAL, Verdict.LEFT_DOMINATED_BY_RIGHT)
+        for n in range(1, 9):
+            order = pairwise_domination_order(n, m)
+            for i, a in enumerate(order.trees):
+                expect = [
+                    j for j, b in enumerate(order.trees) if compare_range(a, b, m).verdict in below
+                ]
+                assert order.dominators_of(i) == expect
+
+    def test_one_distribution_per_tree(self, monkeypatch):
+        built = []
+
+        def counted(t, m):
+            built.append(t)
+            return range_distribution(t, m)
+
+        monkeypatch.setattr(analysis, "range_distribution", counted)
+        order = pairwise_domination_order(10, STANDARD)
+        assert len(built) == len(order.trees) == 106
 
     def test_double_broom_dominated_only_by_self_and_path(self):
         broom_form = parse_tree(DOUBLE_BROOM).canonical_form()

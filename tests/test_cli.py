@@ -88,6 +88,13 @@ class TestCompare:
         blob = json.loads(res.output)
         assert blob["verdict"] == "left_dominated_by_right"
 
+    def test_path_vs_star_is_mirrored(self, runner):
+        res = runner.invoke(main, ["compare", "--left", "path:3", "--right", "star:3"])
+        assert res.exit_code == 0
+        blob = json.loads(res.output)
+        assert blob["verdict"] == "right_dominated_by_left"
+        assert blob["strict_at"] == [3]
+
     def test_unequal_sizes(self, runner):
         res = runner.invoke(main, ["compare", "--left", "path:3", "--right", "path:5"])
         assert res.exit_code == 1
@@ -135,6 +142,14 @@ class TestVerifyLemmas:
         assert res.exit_code == 0
         blob = json.loads(res.output)
         assert blob["counterexamples"] == []
+
+    def test_bad_legs_is_a_one_line_error(self, runner):
+        res = runner.invoke(
+            main, ["verify-lemmas", "--lemma", "spidersums", "--legs", "a,b"]
+        )
+        assert res.exit_code == 1
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.output.startswith("Error: ") and res.output.count("\n") == 1
 
     def test_center_monotone_lazy(self, runner):
         res = runner.invoke(

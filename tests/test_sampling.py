@@ -3,12 +3,7 @@ import pytest
 from fractions import Fraction
 
 from giraw.counting import WalkModel, range_distribution
-from giraw.sampling import (
-    WalkSampler,
-    estimate_expected_range,
-    estimate_pair_distance,
-    sample_walk,
-)
+from giraw.sampling import WalkSampler, estimate_expected_range, estimate_pair_distance
 from giraw.trees import make_path, make_spider, make_star, reroot
 
 STANDARD = WalkModel.STANDARD
@@ -19,7 +14,7 @@ class TestSampleWalk:
     def test_single_edge_values(self):
         rt = make_path(1)
         sampler = WalkSampler(rt, STANDARD, seed=7)
-        seen = {sample_walk(rt, STANDARD, sampler).labels for _ in range(200)}
+        seen = {sampler.sample().labels for _ in range(200)}
         assert seen == {(0, 1), (0, -1)}
 
     def test_root_label_zero_and_steps_valid(self):
@@ -51,11 +46,6 @@ class TestSampleWalk:
         second = sampler.sample()
         assert (first.seed, first.index) == (99, 0)
         assert (second.seed, second.index) == (99, 1)
-
-    def test_mismatched_sampler_rejected(self):
-        sampler = WalkSampler(make_path(2), STANDARD, seed=1)
-        with pytest.raises(ValueError):
-            sample_walk(make_path(2), LAZY, sampler)
 
     def test_single_edge_balance(self):
         sampler = WalkSampler(make_path(1), STANDARD, seed=5)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +134,15 @@ class TestGeneration:
         for n in range(1, 10):
             forms = [t.canonical_form() for t in generate_free_trees(n)]
             assert len(forms) == len(set(forms))
+
+    def test_canonical_form_of_deep_path(self):
+        path = make_path(3000).tree
+        perm = list(range(path.n))
+        random.Random(3).shuffle(perm)
+        relabeled = Tree(path.n, tuple((perm[u], perm[v]) for u, v in path.edges))
+        forms = {path.canonical_form(), relabeled.canonical_form()}
+        assert len(forms) == 1
+        assert make_spider([1500, 1499, 1]).tree.canonical_form() not in forms
 
     def test_n_1(self):
         trees = list(generate_free_trees(1))
