@@ -209,15 +209,22 @@ def spider_profile(legs: Iterable[int], k: int, m: WalkModel) -> list[int]:
     return prof
 
 
+def _split_legs(legs: list[int]) -> tuple[int, int, list[int]]:
+    """The two legs the identity merges and the others; every leg needs an edge."""
+    if len(legs) < 2:
+        raise ValueError("identity needs at least two legs")
+    if any(a < 1 for a in legs):
+        raise ValueError(f"leg lengths must be >= 1, got {legs}")
+    return legs[0], legs[1], legs[2:]
+
+
 def spidersums_sides(legs: list[int], k: int, m: WalkModel) -> tuple[int, int]:
     """Both sides of the leg-merging identity for a spider.
 
     LHS: F^k(spider with legs) - F^k(spider with first two legs merged).
     RHS: the transfer-weighted sum of profile differences over 0 <= i < j <= k.
     """
-    if len(legs) < 2:
-        raise ValueError("identity needs at least two legs")
-    a1, a2, rest = legs[0], legs[1], legs[2:]
+    a1, a2, rest = _split_legs(legs)
     lhs = sum(spider_profile(legs, k, m)) - sum(spider_profile([a1 + a2] + rest, k, m))
     tab = transfer(a1, k, m)
     p2 = path_profile(a2, k, m)
@@ -368,9 +375,7 @@ def check_summand_comparison(legs: list[int], k: int, m: WalkModel) -> LemmaChec
     The (i, j) summand at bound k is compared against the (i, j) summand at
     bound k+1 when i+j <= k, else against the (i+1, j+1) summand.
     """
-    if len(legs) < 2:
-        raise ValueError("identity needs at least two legs")
-    a1, a2, rest = legs[0], legs[1], legs[2:]
+    a1, a2, rest = _split_legs(legs)
 
     def summand(i: int, j: int, tab, p2, pr) -> int:
         return tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])

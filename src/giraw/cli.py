@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 
-from . import analysis, sampling
+from . import analysis
 from .counting import WalkModel, count_bounded, range_distribution
 from .trees import Tree, TreeError, generate_free_trees, make_path, make_spider, make_star, parse_tree
 
@@ -45,6 +45,20 @@ def load_tree(spec: str) -> Tree:
         return parse_tree(path.read_text())
     except TreeError as exc:
         raise click.ClickException(f"{spec}: {exc}")
+
+
+def parse_legs(text: str) -> list[int]:
+    """Leg lengths from `a1,a2,...`; a one-line usage error unless all are positive."""
+    try:
+        legs = [int(x) for x in text.split(",") if x]
+        valid = all(a >= 1 for a in legs)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise click.ClickException(
+            f"--legs must be positive integers separated by commas, got {text!r}"
+        )
+    return legs
 
 
 def emit(data: dict, fmt: str, out: str | None, rows: list[dict] | None = None) -> None:
@@ -248,8 +262,8 @@ def verify_lemmas(
 ) -> None:
     """Exhaustively check one identity/inequality family; exit 2 on counterexample."""
     m = WalkModel(model)
+    leg_list = parse_legs(legs)
     try:
-        leg_list = [int(x) for x in legs.split(",") if x]
         if lemma == "spidersums":
             result = analysis.check_spidersums(leg_list, k, m)
         elif lemma == "center-monotone":
@@ -302,6 +316,8 @@ def sample(
     out: str | None,
 ) -> None:
     """Monte Carlo estimate of E[Range] or E|f(u)-f(v)|, with exact cross-check."""
+    from . import sampling  # numpy loads only for the command that samples
+
     t = load_tree(tree_spec)
     m = WalkModel(model)
     try:

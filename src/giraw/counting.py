@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .trees import RootedTree, Tree, reroot
+from .trees import RootedTree, Tree, class_sightings, reroot
 
 
 class WalkModel(enum.Enum):
@@ -37,19 +37,40 @@ def band_step(prof: list[int], m: WalkModel) -> list[int]:
     return [a + c for a, c in zip(padded, padded[2:])]
 
 
+# Profiles of rooted subtrees shared across calls: (k, model) -> class id ->
+# root profile, for the classes seen in at least two rooted subtrees.
+_PROFILES: dict[tuple[int, WalkModel], dict[int, tuple[int, ...]]] = {}
+
+
 def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     """F_i^k profile of a rooted tree: entry i counts labelings with root label i.
 
     Bottom-up DP: a leaf's profile is all ones; an internal vertex multiplies,
-    over its children, the band steps of the children's profiles.
+    over its children, the band steps of the children's profiles. A subtree's
+    profile depends only on its rooted-isomorphism class, so the DP stops at
+    subtrees whose class profile is already shared and shares each profile
+    whose class has been seen in at least two rooted subtrees.
     """
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
+    ids = t.class_ids
+    shared = _PROFILES.setdefault((k, m), {})
+    if ids[t.root] in shared:
+        return list(shared[ids[t.root]])
+    order = []  # the root and every vertex below it whose profile is missing
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += [c for c in t.children[v] if ids[c] not in shared]
     profiles: dict[int, list[int]] = {}
-    for v in t.postorder():
+    for v in reversed(order):
         prof = [1] * (k + 1)
         for c in t.children[v]:
-            prof = [p * s for p, s in zip(prof, band_step(profiles.pop(c), m))]
+            child = profiles.pop(c) if c in profiles else shared[ids[c]]
+            prof = [p * s for p, s in zip(prof, band_step(child, m))]
+        if class_sightings(ids[v]) >= 2:
+            shared[ids[v]] = tuple(prof)
         profiles[v] = prof
     return profiles[t.root]
 

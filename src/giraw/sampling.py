@@ -20,6 +20,10 @@ from .counting import (
 )
 from .trees import RootedTree, Tree, reroot
 
+# Walks the estimators draw at once, so a draw holds SAMPLE_CHUNK x n labels
+# whatever the sample count. The seeded stream does not depend on it.
+SAMPLE_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class WalkSample:
@@ -103,6 +107,15 @@ def _mean_report(name: str, values: np.ndarray, exact: Fraction | None, seed: in
     )
 
 
+def _per_walk(sampler: WalkSampler, samples: int, stat) -> np.ndarray:
+    """stat(labels) of samples walks, drawn SAMPLE_CHUNK walks at a time, as int64."""
+    values = np.empty(samples, dtype=np.int64)
+    for start in range(0, samples, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, samples)
+        values[start:stop] = stat(sampler.sample_labels(stop - start))
+    return values
+
+
 def estimate_expected_range(
     t: Tree, m: WalkModel, samples: int, seed: int
 ) -> EstimateReport:
@@ -110,8 +123,7 @@ def estimate_expected_range(
     if samples < 1:
         raise ValueError("need at least one sample")
     sampler = WalkSampler(reroot(t, 0), m, seed)
-    labels = sampler.sample_labels(samples)
-    ranges = labels.max(axis=1) - labels.min(axis=1)
+    ranges = _per_walk(sampler, samples, lambda x: x.max(axis=1) - x.min(axis=1))
     exact = range_distribution(t, m).expected_range()
     return _mean_report("expected_range", ranges, exact, seed)
 
@@ -123,8 +135,7 @@ def estimate_pair_distance(
     if samples < 1:
         raise ValueError("need at least one sample")
     sampler = WalkSampler(reroot(t, 0), m, seed)
-    labels = sampler.sample_labels(samples)
-    diffs = np.abs(labels[:, u] - labels[:, v])
+    diffs = _per_walk(sampler, samples, lambda x: np.abs(x[:, u] - x[:, v]))
     dist = endpoint_difference_distribution(t, u, v, m)
     exact = sum((abs(x) * p for x, p in dist.items()), Fraction(0))
     return _mean_report("pair_distance", diffs, exact, seed)

@@ -7,16 +7,24 @@ array-indexed. All structures are immutable after construction.
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
-import networkx as nx
-
 # Known counts of non-isomorphic free trees, n = 1, 2, 3, ... (OEIS A000055).
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159)
+FREE_TREE_COUNTS = (
+    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
+    7741, 19320, 48629, 123867, 317955, 823065,
+)
 
-DEFAULT_MAX_N = 16
+DEFAULT_MAX_N = 20
+
+# Rooted-isomorphism classes, interned once per process: the sorted tuple of a
+# vertex's children's class ids maps to the class id of its subtree, and
+# _CLASS_SIGHTINGS[c] counts the rooted subtrees of class c seen so far.
+_CLASS_IDS: dict[tuple[int, ...], int] = {}
+_CLASS_SIGHTINGS: Counter[int] = Counter()
 
 
 class TreeError(ValueError):
@@ -193,6 +201,21 @@ class RootedTree:
     def n(self) -> int:
         return self.tree.n
 
+    @cached_property
+    def class_ids(self) -> tuple[int, ...]:
+        """Interned rooted-isomorphism class of every vertex's subtree.
+
+        Two subtrees, in this or any other rooted tree of the process, get the
+        same id iff they are isomorphic as rooted trees. Computing the ids
+        counts one sighting of each vertex's class (see class_sightings).
+        """
+        ids = [0] * self.n
+        for v in self.postorder():
+            shape = tuple(sorted(ids[c] for c in self.children[v]))
+            ids[v] = _CLASS_IDS.setdefault(shape, len(_CLASS_IDS))
+            _CLASS_SIGHTINGS[ids[v]] += 1
+        return tuple(ids)
+
     def postorder(self) -> list[int]:
         """Vertices ordered so every child precedes its parent."""
         order: list[int] = []
@@ -234,6 +257,11 @@ def reroot(t: Tree, root: int) -> RootedTree:
                 stack.append(w)
         children[v] = tuple(kids)
     return RootedTree(tree=t, root=root, children=tuple(children))
+
+
+def class_sightings(cid: int) -> int:
+    """Number of rooted subtrees of class cid seen by RootedTree.class_ids so far."""
+    return _CLASS_SIGHTINGS[cid]
 
 
 def make_path(a: int) -> RootedTree:
@@ -317,14 +345,90 @@ def max_generation_n() -> int:
 def generate_free_trees(n: int) -> Iterator[Tree]:
     """Yield one representative per isomorphism class of free trees on n vertices.
 
-    Backed by the level-sequence (WROM) generator; supports n up to
-    max_generation_n() (default 16).
+    Each tree is the canonical level sequence of the generator of Wright,
+    Richmond, Odlyzko and McKay ("Constant time generation of free trees",
+    SIAM J. Comput. 1986), rooted at its centre, with vertex i the i-th entry
+    of the sequence and the edges its sorted (parent, child) pairs. Supports n
+    up to max_generation_n() (default 20).
     """
     limit = max_generation_n()
     if not (1 <= n <= limit):
         raise TreeError(f"n must be in [1, {limit}], got {n}")
+    for levels in free_level_sequences(n):
+        last_at = [0] * n  # last_at[d]: latest vertex seen at depth d
+        edges = []
+        for v in range(1, n):
+            d = levels[v]
+            edges.append((last_at[d - 1], v))
+            last_at[d] = v
+        yield Tree(n=n, edges=tuple(sorted(edges)))
+
+
+def free_level_sequences(n: int) -> Iterator[list[int]]:
+    """Level sequences of the free trees on n >= 1 vertices, one per class (WROM).
+
+    A rooted tree's level sequence lists the depths of its vertices in
+    preorder, children in decreasing order of their own sequences. The walk
+    starts at the path rooted at its centre and steps through rooted trees in
+    decreasing order of level sequence (Beyer and Hedetniemi), keeping only
+    the canonical centre-rooted ones and jumping over runs of
+    non-canonical ones.
+    """
     if n == 1:
-        yield Tree(n=1, edges=())
+        yield [0]
         return
-    for g in nx.nonisomorphic_trees(n):
-        yield Tree(n=n, edges=tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges())))
+    seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while seq is not None:
+        seq = _canonical_from(seq)
+        yield seq
+        seq = _next_rooted(seq)
+
+
+def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Successor of a rooted level sequence (Beyer-Hedetniemi), or None at the star.
+
+    p is the position to decrease: by default the last entry above depth 1.
+    The suffix from p repeats the subtree that starts at p's new parent q.
+    """
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = seq[:p]
+    for i in range(p, len(seq)):
+        out.append(out[i - p + q])
+    return out
+
+
+def _split_first_branch(seq: list[int]) -> tuple[list[int], list[int]]:
+    """The first branch under the root (depths relative to it) and the rest of the tree."""
+    end = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
+    return [d - 1 for d in seq[1:end]], [0, *seq[end:]]
+
+
+def _canonical_from(seq: list[int]) -> list[int]:
+    """seq if it is the canonical centre-rooted form of a free tree, else the next one.
+
+    Canonical: the first branch is no higher than the rest of the tree and,
+    at equal height, no larger, and at equal size not lexicographically after.
+    Otherwise one successor step at the end of the first branch, followed,
+    when the step cut below depth 2, by resetting the suffix to a path one
+    higher than the new first branch, jumps over the whole run of
+    non-canonical sequences to the next canonical one.
+    """
+    first, rest = _split_first_branch(seq)
+    h_first, h_rest = max(first), max(rest)
+    if h_rest > h_first or (h_rest == h_first and (len(first), first) <= (len(rest), rest)):
+        return seq
+    p = len(first)
+    out = _next_rooted(seq, p)
+    if seq[p] > 2:
+        new_first, _ = _split_first_branch(out)
+        tail = range(1, max(new_first) + 2)
+        out[len(out) - len(tail):] = tail
+    return out

@@ -198,6 +198,11 @@ class TestSpidersums:
         with pytest.raises(ValueError):
             check_spidersums([3], 2, STANDARD)
 
+    @pytest.mark.parametrize("legs", [[2, -1], [0, 2], [2, 2, 0]])
+    def test_legs_must_be_positive(self, legs):
+        with pytest.raises(ValueError, match="leg lengths"):
+            spidersums_sides(legs, 4, STANDARD)
+
 
 class TestCenterMonotone:
     def test_standard_paths(self):
@@ -235,6 +240,11 @@ class TestSummandComparison:
     def test_lazy_two_legs(self):
         for k in range(7):
             assert check_summand_comparison([2, 2], k, LAZY).ok
+
+    @pytest.mark.parametrize("legs", [[-1, 2], [2, 0], [2, 2, -3]])
+    def test_legs_must_be_positive(self, legs):
+        with pytest.raises(ValueError, match="leg lengths"):
+            check_summand_comparison(legs, 4, STANDARD)
 
     @given(
         st.lists(st.integers(1, 3), min_size=2, max_size=4),

@@ -6,10 +6,17 @@ from click.testing import CliRunner
 from giraw.cli import load_tree, main
 from giraw.trees import make_path, make_spider, make_star
 
+from fresh import run_python
+
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_import_loads_neither_numpy_nor_networkx():
+    code = "import sys, giraw.cli; print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    assert run_python(code) == "[]\n"
 
 
 class TestLoadTree:
@@ -150,6 +157,15 @@ class TestVerifyLemmas:
         assert res.exit_code == 1
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+
+    @pytest.mark.parametrize("legs", ["2,-1", "0,2", "a,b"])
+    @pytest.mark.parametrize("lemma", ["spidersums", "summand-comparison"])
+    def test_bad_legs_name_the_option(self, runner, lemma, legs):
+        res = runner.invoke(main, ["verify-lemmas", "--lemma", lemma, "--legs", legs])
+        assert res.exit_code == 1
+        assert res.output == (
+            f"Error: --legs must be positive integers separated by commas, got '{legs}'\n"
+        )
 
     def test_center_monotone_lazy(self, runner):
         res = runner.invoke(

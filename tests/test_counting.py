@@ -19,6 +19,7 @@ from giraw.counting import (
 )
 from giraw.trees import Tree, make_path, make_spider, make_star, reroot
 
+from fresh import run_python
 from oracles import (
     oracle_F,
     oracle_F_direct,
@@ -94,6 +95,40 @@ class TestProfile:
                     cur = path_profile(a, k, m)
                     assert all(c <= factor * p for c, p in zip(cur, prev))
                     prev = cur
+
+
+class TestSharedProfiles:
+    def test_returned_profile_is_a_fresh_list(self):
+        # the star's root class is seen once per rooted copy, so it is shared
+        # from the second copy on
+        want = [p**4 for p in path_profile(1, 3, LAZY)]
+        for _ in range(3):
+            prof = profile(make_star(4), 3, LAZY)
+            assert prof == want
+            prof[0] = -1
+
+    def test_deep_path_shares_nothing_and_a_scan_reuses(self):
+        out = run_python(
+            "from giraw import counting\n"
+            "from giraw.analysis import scan_against_path\n"
+            "from giraw.trees import make_path\n"
+            "m = counting.WalkModel.STANDARD\n"
+            "entries = lambda: sum(len(d) for d in counting._PROFILES.values())\n"
+            "counting.range_distribution(make_path(200).tree, m)\n"
+            "print(entries())\n"
+            "edges, steps = [], []\n"
+            "profile, band_step = counting.profile, counting.band_step\n"
+            "counting.profile = lambda t, k, m: edges.append(t.n - 1) or profile(t, k, m)\n"
+            "counting.band_step = lambda p, m: steps.append(1) or band_step(p, m)\n"
+            "scan_against_path(10, m)\n"
+            "print(entries(), sum(edges), len(steps))\n"
+        )
+        after_path, after_scan = out.splitlines()
+        assert after_path == "0"
+        entries, edges, steps = map(int, after_scan.split())
+        # each band step is one edge of the DP: without shared profiles the
+        # scan would take one per edge of every profile call
+        assert entries > 0 and steps < edges / 2
 
 
 class TestCounts:

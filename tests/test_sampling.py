@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from giraw import sampling
 from giraw.counting import WalkModel, range_distribution
-from giraw.sampling import WalkSampler, estimate_expected_range, estimate_pair_distance
+from giraw.sampling import (
+    WalkSampler,
+    _mean_report,
+    estimate_expected_range,
+    estimate_pair_distance,
+)
 from giraw.trees import make_path, make_spider, make_star, reroot
 
 STANDARD = WalkModel.STANDARD
@@ -87,6 +93,21 @@ class TestEstimates:
     def test_pair_distance_converges(self):
         rep = estimate_pair_distance(make_path(5).tree, 0, 5, LAZY, 50_000, seed=3)
         assert rep.deviation <= 5 * rep.std_error
+
+    @pytest.mark.parametrize("m", [STANDARD, LAZY])
+    def test_chunked_draws_give_the_one_shot_report(self, monkeypatch, m):
+        t = make_spider([3, 2, 2]).tree
+        samples = 1000  # not a multiple of the chunk
+        monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 64)
+        labels = WalkSampler(reroot(t, 0), m, seed=5).sample_labels(samples)
+
+        rep = estimate_expected_range(t, m, samples, seed=5)
+        ranges = labels.max(axis=1) - labels.min(axis=1)
+        assert rep == _mean_report("expected_range", ranges, rep.exact, 5)
+
+        rep = estimate_pair_distance(t, 2, 7, m, samples, seed=5)
+        diffs = np.abs(labels[:, 2] - labels[:, 7])
+        assert rep == _mean_report("pair_distance", diffs, rep.exact, 5)
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):

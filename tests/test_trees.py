@@ -9,10 +9,12 @@ from giraw.trees import (
     Tree,
     TreeError,
     TreeParseError,
+    free_level_sequences,
     generate_free_trees,
     make_path,
     make_spider,
     make_star,
+    max_generation_n,
     parse_tree,
     reroot,
 )
@@ -121,9 +123,28 @@ class TestConstructors:
 
 
 class TestGeneration:
-    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_counts_match_known_sequence(self, n):
         assert sum(1 for _ in generate_free_trees(n)) == FREE_TREE_COUNTS[n - 1]
+
+    def test_default_cap_is_the_last_known_count(self, monkeypatch):
+        monkeypatch.delenv("GIRAW_MAX_N", raising=False)
+        assert max_generation_n() == len(FREE_TREE_COUNTS) == 20
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_same_trees_in_same_order_as_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        want = [
+            tuple(sorted((min(u, v), max(u, v)) for u, v in g.edges()))
+            for g in nx.nonisomorphic_trees(n)
+        ]
+        assert [t.edges for t in generate_free_trees(n)] == want
+
+    def test_edges_are_sorted_parent_child_pairs_of_the_level_sequence(self):
+        for levels, t in zip(free_level_sequences(9), generate_free_trees(9)):
+            assert levels[0] == 0 and list(t.edges) == sorted(t.edges)
+            for parent, child in t.edges:
+                assert parent < child and levels[child] == levels[parent] + 1
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_classes_match_prufer_oracle(self, n):
@@ -159,6 +180,24 @@ class TestGeneration:
         with pytest.raises(TreeError):
             list(generate_free_trees(6))
         assert sum(1 for _ in generate_free_trees(5)) == 3
+
+
+class TestClassIds:
+    def test_isomorphic_subtrees_share_an_id(self):
+        # spider legs 2, 2, 1 rooted at the branch vertex: the two long legs match
+        ids = make_spider([2, 2, 1]).class_ids
+        assert ids[1] == ids[3] and ids[2] == ids[4] == ids[5]
+        assert len(set(ids)) == 3
+
+    @given(labeled_trees(), st.data())
+    @settings(max_examples=50)
+    def test_ids_agree_across_trees_and_relabelings(self, t, data):
+        root = data.draw(st.integers(0, t.n - 1))
+        perm = data.draw(st.permutations(range(t.n)))
+        relabeled = Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
+        a, b = reroot(t, root), reroot(relabeled, perm[root])
+        assert sorted(a.class_ids) == sorted(b.class_ids)
+        assert a.class_ids[root] == b.class_ids[perm[root]]
 
 
 class TestRooting:
