@@ -20,7 +20,7 @@ from .counting import (
     range_distribution,
     transfer,
 )
-from .trees import RootedTree, Tree, generate_free_trees, make_path, reroot
+from .trees import RootedTree, SharedSubtrees, Tree, generate_free_trees, make_path, reroot
 
 
 class Verdict(enum.Enum):
@@ -260,8 +260,10 @@ def center_violations(rt: RootedTree, k: int, m: WalkModel) -> list[tuple[int, i
 
 
 def _all_rooted_trees(n_max: int) -> Iterator[tuple[str, RootedTree]]:
+    """Every rooted free tree up to n_max vertices, all sizes in one batch."""
+    shared = SharedSubtrees()
     for n in range(1, n_max + 1):
-        for idx, t in enumerate(generate_free_trees(n)):
+        for idx, t in enumerate(generate_free_trees(n, shared)):
             for r in range(t.n):
                 yield f"n={n},tree={idx},root={r}", reroot(t, r)
 

@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .trees import RootedTree, Tree, class_sightings, reroot
+from .trees import RootedTree, Tree, reroot
 
 
 class WalkModel(enum.Enum):
@@ -37,24 +37,21 @@ def band_step(prof: list[int], m: WalkModel) -> list[int]:
     return [a + c for a, c in zip(padded, padded[2:])]
 
 
-# Profiles of rooted subtrees shared across calls: (k, model) -> class id ->
-# root profile, for the classes seen in at least two rooted subtrees.
-_PROFILES: dict[tuple[int, WalkModel], dict[int, tuple[int, ...]]] = {}
-
-
 def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     """F_i^k profile of a rooted tree: entry i counts labelings with root label i.
 
     Bottom-up DP: a leaf's profile is all ones; an internal vertex multiplies,
     over its children, the band steps of the children's profiles. A subtree's
     profile depends only on its rooted-isomorphism class, so the DP stops at
-    subtrees whose class profile is already shared and shares each profile
-    whose class has been seen in at least two rooted subtrees.
+    subtrees whose class profile is already shared in the tree's batch, and
+    shares there, as (k, model) -> class id -> root profile, each profile
+    whose class the batch has seen in at least two rooted subtrees.
     """
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
     ids = t.class_ids
-    shared = _PROFILES.setdefault((k, m), {})
+    sightings = t.tree.shared.sightings
+    shared = t.tree.shared.profiles.setdefault((k, m), {})
     if ids[t.root] in shared:
         return list(shared[ids[t.root]])
     order = []  # the root and every vertex below it whose profile is missing
@@ -69,7 +66,7 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
         for c in t.children[v]:
             child = profiles.pop(c) if c in profiles else shared[ids[c]]
             prof = [p * s for p, s in zip(prof, band_step(child, m))]
-        if class_sightings(ids[v]) >= 2:
+        if sightings[ids[v]] >= 2:
             shared[ids[v]] = tuple(prof)
         profiles[v] = prof
     return profiles[t.root]
@@ -105,9 +102,6 @@ class RangeDistribution:
             tails.append(tails[-1] - self.class_counts.get(k, 0))
         object.__setattr__(self, "tail_counts", tuple(tails))
 
-    def probability(self, r: int) -> Fraction:
-        return Fraction(self.class_counts.get(r, 0), self.denominator)
-
     def tail_count(self, k: int) -> int:
         """Number of translation classes with Range >= k."""
         return self.tail_counts[min(max(k, 0), len(self.tail_counts) - 1)]
@@ -119,16 +113,6 @@ class RangeDistribution:
     def expected_range(self) -> Fraction:
         total = sum(r * c for r, c in self.class_counts.items())
         return Fraction(total, self.denominator)
-
-    def variance(self) -> Fraction:
-        mu = self.expected_range()
-        second = Fraction(
-            sum(r * r * c for r, c in self.class_counts.items()), self.denominator
-        )
-        return second - mu * mu
-
-    def max_range(self) -> int:
-        return max((r for r, c in self.class_counts.items() if c), default=0)
 
     def to_json_dict(self) -> dict:
         tails = (Fraction(c, self.denominator) for c in self.tail_counts)

@@ -1,7 +1,8 @@
 """Tree representation, parsing, constructors, and free-tree generation.
 
 Trees use dense 0-based vertex ids so downstream dynamic programming can be
-array-indexed. All structures are immutable after construction.
+array-indexed. Trees are immutable after construction; only the subtree table
+their batch shares grows.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ FREE_TREE_COUNTS = (
 
 DEFAULT_MAX_N = 20
 
-# Rooted-isomorphism classes, interned once per process: the sorted tuple of a
-# vertex's children's class ids maps to the class id of its subtree, and
-# _CLASS_SIGHTINGS[c] counts the rooted subtrees of class c seen so far.
-_CLASS_IDS: dict[tuple[int, ...], int] = {}
-_CLASS_SIGHTINGS: Counter[int] = Counter()
-
 
 class TreeError(ValueError):
     """Raised for structurally invalid tree inputs."""
@@ -35,12 +30,31 @@ class TreeParseError(TreeError):
     """Raised when edge-list text cannot be parsed; carries line context."""
 
 
+@dataclass
+class SharedSubtrees:
+    """Rooted subtree classes shared by one batch of trees, and their profiles.
+
+    ids maps the sorted tuple of a vertex's children's class ids to the class
+    id of its subtree; sightings[c] counts the rooted subtrees of class c seen
+    by RootedTree.class_ids; profiles is the profile memo of the counting layer.
+    """
+
+    ids: dict[tuple[int, ...], int] = field(default_factory=dict)
+    sightings: Counter[int] = field(default_factory=Counter)
+    profiles: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class Tree:
-    """Undirected tree on vertices 0..n-1, stored as an edge list."""
+    """Undirected tree on vertices 0..n-1, stored as an edge list.
+
+    shared is the subtree table of the tree's batch; by default the tree has
+    a private one.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    shared: SharedSubtrees = field(default_factory=SharedSubtrees, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -64,7 +78,7 @@ class Tree:
             raise TreeError("graph is not connected")
 
     def _component_of(self, start: int) -> set[int]:
-        adj = self.adjacency()
+        adj = self.adjacency
         seen = {start}
         stack = [start]
         while stack:
@@ -75,12 +89,14 @@ class Tree:
                     stack.append(w)
         return seen
 
-    def adjacency(self) -> list[list[int]]:
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of every vertex, built once per tree."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
+        return tuple(map(tuple, adj))
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -93,7 +109,7 @@ class Tree:
         """Edge distance between u and v."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise TreeError(f"vertex out of range: ({u}, {v})")
-        adj = self.adjacency()
+        adj = self.adjacency
         dist = {u: 0}
         queue = deque([u])
         while queue:
@@ -108,7 +124,7 @@ class Tree:
 
     def eccentricity(self, v: int) -> tuple[int, int]:
         """Return (farthest vertex, its distance) from v."""
-        adj = self.adjacency()
+        adj = self.adjacency
         dist = {v: 0}
         queue = deque([v])
         far, far_d = v, 0
@@ -131,34 +147,9 @@ class Tree:
         """At most one vertex of degree greater than 2. Paths count."""
         return sum(1 for d in self.degrees() if d > 2) <= 1
 
-    def spider_legs(self) -> list[int]:
-        """Leg lengths of a spider, measured from its branch vertex.
-
-        For a path the "legs" are measured from vertex 0's farthest-path
-        midpoint convention: we return the legs from an endpoint, i.e. [diameter].
-        """
-        if not self.is_spider():
-            raise TreeError("tree is not a spider")
-        deg = self.degrees()
-        centers = [v for v in range(self.n) if deg[v] > 2]
-        if not centers:
-            return [self.diameter()] if self.n > 1 else []
-        c = centers[0]
-        adj = self.adjacency()
-        legs = []
-        for start in adj[c]:
-            length = 1
-            prev, cur = c, start
-            while deg[cur] == 2:
-                nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                prev, cur = cur, nxt
-                length += 1
-            legs.append(length)
-        return sorted(legs, reverse=True)
-
     def canonical_form(self) -> str:
         """Isomorphism-invariant canonical bracket string (AHU on a center root)."""
-        adj = self.adjacency()
+        adj = self.adjacency
         # find center(s) by leaf stripping
         deg = self.degrees()
         leaves = deque(v for v in range(self.n) if deg[v] == 1)
@@ -185,9 +176,6 @@ class Tree:
 
         return min(encode(c) for c in centers)
 
-    def serialize(self) -> str:
-        return "".join(f"{u} {v}\n" for u, v in self.edges)
-
 
 @dataclass(frozen=True)
 class RootedTree:
@@ -205,15 +193,16 @@ class RootedTree:
     def class_ids(self) -> tuple[int, ...]:
         """Interned rooted-isomorphism class of every vertex's subtree.
 
-        Two subtrees, in this or any other rooted tree of the process, get the
-        same id iff they are isomorphic as rooted trees. Computing the ids
-        counts one sighting of each vertex's class (see class_sightings).
+        Two subtrees, in this or any other rooted tree of the same batch, get
+        the same id iff they are isomorphic as rooted trees. Computing the ids
+        counts one sighting of each vertex's class in the batch.
         """
+        shared = self.tree.shared
         ids = [0] * self.n
         for v in self.postorder():
             shape = tuple(sorted(ids[c] for c in self.children[v]))
-            ids[v] = _CLASS_IDS.setdefault(shape, len(_CLASS_IDS))
-            _CLASS_SIGHTINGS[ids[v]] += 1
+            ids[v] = shared.ids.setdefault(shape, len(shared.ids))
+            shared.sightings[ids[v]] += 1
         return tuple(ids)
 
     def postorder(self) -> list[int]:
@@ -242,7 +231,7 @@ class RootedTree:
 def reroot(t: Tree, root: int) -> RootedTree:
     if not (0 <= root < t.n):
         raise TreeError(f"root {root} out of range for n={t.n}")
-    adj = t.adjacency()
+    adj = t.adjacency
     children: list[tuple[int, ...]] = [()] * t.n
     seen = [False] * t.n
     seen[root] = True
@@ -257,11 +246,6 @@ def reroot(t: Tree, root: int) -> RootedTree:
                 stack.append(w)
         children[v] = tuple(kids)
     return RootedTree(tree=t, root=root, children=tuple(children))
-
-
-def class_sightings(cid: int) -> int:
-    """Number of rooted subtrees of class cid seen by RootedTree.class_ids so far."""
-    return _CLASS_SIGHTINGS[cid]
 
 
 def make_path(a: int) -> RootedTree:
@@ -342,8 +326,10 @@ def max_generation_n() -> int:
         raise TreeError(f"GIRAW_MAX_N must be an integer, got {raw!r}") from None
 
 
-def generate_free_trees(n: int) -> Iterator[Tree]:
+def generate_free_trees(n: int, shared: SharedSubtrees | None = None) -> Iterator[Tree]:
     """Yield one representative per isomorphism class of free trees on n vertices.
+
+    The trees form one batch: they share `shared`, or a new table if it is None.
 
     Each tree is the canonical level sequence of the generator of Wright,
     Richmond, Odlyzko and McKay ("Constant time generation of free trees",
@@ -354,6 +340,7 @@ def generate_free_trees(n: int) -> Iterator[Tree]:
     limit = max_generation_n()
     if not (1 <= n <= limit):
         raise TreeError(f"n must be in [1, {limit}], got {n}")
+    shared = shared or SharedSubtrees()
     for levels in free_level_sequences(n):
         last_at = [0] * n  # last_at[d]: latest vertex seen at depth d
         edges = []
@@ -361,7 +348,7 @@ def generate_free_trees(n: int) -> Iterator[Tree]:
             d = levels[v]
             edges.append((last_at[d - 1], v))
             last_at[d] = v
-        yield Tree(n=n, edges=tuple(sorted(edges)))
+        yield Tree(n=n, edges=tuple(sorted(edges)), shared=shared)
 
 
 def free_level_sequences(n: int) -> Iterator[list[int]]:

@@ -1,11 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giraw import counting
+from giraw import analysis, counting
 from giraw.counting import (
     WalkModel,
     count_bounded,
@@ -17,7 +18,7 @@ from giraw.counting import (
     range_distribution,
     transfer,
 )
-from giraw.trees import Tree, make_path, make_spider, make_star, reroot
+from giraw.trees import Tree, generate_free_trees, make_path, make_spider, make_star, reroot
 
 from fresh import run_python
 from oracles import (
@@ -97,38 +98,66 @@ class TestProfile:
                     prev = cur
 
 
+def memo_entries(t: Tree) -> int:
+    """Profiles stored in the memo of t's batch."""
+    return sum(len(d) for d in t.shared.profiles.values())
+
+
+def count_band_steps(monkeypatch) -> list:
+    """A list that grows by one item per band_step call of the profile DP."""
+    steps, band_step = [], counting.band_step
+    monkeypatch.setattr(counting, "band_step", lambda p, m: steps.append(1) or band_step(p, m))
+    return steps
+
+
 class TestSharedProfiles:
     def test_returned_profile_is_a_fresh_list(self):
-        # the star's root class is seen once per rooted copy, so it is shared
-        # from the second copy on
-        want = [p**4 for p in path_profile(1, 3, LAZY)]
-        for _ in range(3):
-            prof = profile(make_star(4), 3, LAZY)
+        # rooted at a second leaf, the generated star's root class has been
+        # seen twice and its profile is stored, so the third call is a memo hit
+        star = list(generate_free_trees(5))[-1]
+        a, b = reroot(star, 1), reroot(star, 2)
+        want = profile(reroot(Tree(star.n, star.edges), 1), 3, LAZY)
+        for rt in (a, b, a):
+            prof = profile(rt, 3, LAZY)
             assert prof == want
             prof[0] = -1
+        assert a.class_ids[1] in star.shared.profiles[(3, LAZY)]
 
-    def test_deep_path_shares_nothing_and_a_scan_reuses(self):
-        out = run_python(
-            "from giraw import counting\n"
-            "from giraw.analysis import scan_against_path\n"
+    def test_deep_path_shares_nothing_and_a_scan_reuses(self, monkeypatch):
+        path = make_path(200).tree
+        range_distribution(path, STANDARD)
+        assert memo_entries(path) == 0
+        rooted, prof = [], counting.profile
+        monkeypatch.setattr(counting, "profile", lambda t, k, m: rooted.append(t) or prof(t, k, m))
+        steps = count_band_steps(monkeypatch)
+        analysis.scan_against_path(10, STANDARD)
+        # the last call is on a generated tree; each band step is one edge of
+        # the DP, so without shared profiles the scan would take one per edge
+        # of every profile call
+        assert memo_entries(rooted[-1].tree) > 0
+        assert len(steps) < sum(t.n - 1 for t in rooted) / 2
+
+    def test_a_scan_does_the_same_work_after_other_scans(self, monkeypatch):
+        steps = count_band_steps(monkeypatch)
+        analysis.scan_against_path(10, LAZY)
+        alone = len(steps)
+        analysis.scan_against_path(10, STANDARD)
+        steps.clear()
+        analysis.scan_against_path(10, LAZY)
+        assert len(steps) == alone
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+    def test_two_deep_trees_store_no_profiles(self):
+        # the paths come from separate inputs, so they share no sightings;
+        # VmHWM, unlike ru_maxrss, does not inherit the forking process's peak
+        peak = run_python(
+            "from giraw.analysis import compare_range\n"
+            "from giraw.counting import WalkModel\n"
             "from giraw.trees import make_path\n"
-            "m = counting.WalkModel.STANDARD\n"
-            "entries = lambda: sum(len(d) for d in counting._PROFILES.values())\n"
-            "counting.range_distribution(make_path(200).tree, m)\n"
-            "print(entries())\n"
-            "edges, steps = [], []\n"
-            "profile, band_step = counting.profile, counting.band_step\n"
-            "counting.profile = lambda t, k, m: edges.append(t.n - 1) or profile(t, k, m)\n"
-            "counting.band_step = lambda p, m: steps.append(1) or band_step(p, m)\n"
-            "scan_against_path(10, m)\n"
-            "print(entries(), sum(edges), len(steps))\n"
+            "compare_range(make_path(150).tree, make_path(150).tree, WalkModel.STANDARD)\n"
+            "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
         )
-        after_path, after_scan = out.splitlines()
-        assert after_path == "0"
-        entries, edges, steps = map(int, after_scan.split())
-        # each band step is one edge of the DP: without shared profiles the
-        # scan would take one per edge of every profile call
-        assert entries > 0 and steps < edges / 2
+        assert int(peak.split()[1]) < 50 * 1024  # kB
 
 
 class TestCounts:

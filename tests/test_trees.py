@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from giraw.trees import (
     FREE_TREE_COUNTS,
+    SharedSubtrees,
     Tree,
     TreeError,
     TreeParseError,
@@ -79,7 +80,7 @@ class TestParse:
 
     @given(labeled_trees())
     def test_roundtrip(self, t):
-        back = parse_tree(t.serialize())
+        back = parse_tree("".join(f"{u} {v}\n" for u, v in t.edges))
         assert {frozenset(e) for e in back.edges} == {frozenset(e) for e in t.edges}
 
 
@@ -189,15 +190,36 @@ class TestClassIds:
         assert ids[1] == ids[3] and ids[2] == ids[4] == ids[5]
         assert len(set(ids)) == 3
 
+    @staticmethod
+    def assert_ids_agree(edges, other_edges, perm, root):
+        """Two edge lists of one tree, vertex v of the first being perm[v] of the
+        second, give every vertex the same id when built in one batch."""
+        shared = SharedSubtrees()
+        n = len(edges) + 1
+        a = reroot(Tree(n, tuple(edges), shared), root)
+        b = reroot(Tree(n, tuple(other_edges), shared), perm[root])
+        assert [b.class_ids[perm[v]] for v in range(n)] == list(a.class_ids)
+
     @given(labeled_trees(), st.data())
     @settings(max_examples=50)
     def test_ids_agree_across_trees_and_relabelings(self, t, data):
         root = data.draw(st.integers(0, t.n - 1))
         perm = data.draw(st.permutations(range(t.n)))
-        relabeled = Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
-        a, b = reroot(t, root), reroot(relabeled, perm[root])
-        assert sorted(a.class_ids) == sorted(b.class_ids)
-        assert a.class_ids[root] == b.class_ids[perm[root]]
+        relabeled = data.draw(st.permutations([(perm[u], perm[v]) for u, v in t.edges]))
+        self.assert_ids_agree(t.edges, relabeled, perm, root)
+
+    def test_ids_agree_when_branches_are_visited_in_another_order(self):
+        # root 0 with a 3-vertex path branch 1-2-3 and a cherry branch 4-{5,6}:
+        # listing the cherry first makes it the first branch visited, which
+        # gives the two trees different ids if each has a private table
+        path, cherry = [(0, 1), (1, 2), (2, 3)], [(0, 4), (4, 5), (4, 6)]
+        self.assert_ids_agree(path + cherry, cherry + path, range(7), 0)
+
+    def test_trees_outside_a_batch_do_not_share(self):
+        a, b = make_path(3), make_path(3)
+        assert a.tree.shared is not b.tree.shared
+        trees = list(generate_free_trees(6))
+        assert all(t.shared is trees[0].shared for t in trees)
 
 
 class TestRooting:
@@ -234,9 +256,6 @@ class TestShapePredicates:
     def test_double_broom_is_not_spider(self):
         t = parse_tree("0 1\n1 2\n2 3\n0 4\n0 5\n3 6\n3 7")
         assert not t.is_spider()
-
-    def test_spider_legs(self):
-        assert make_spider([3, 2, 1]).tree.spider_legs() == [3, 2, 1]
 
     def test_diameter(self):
         assert make_path(6).tree.diameter() == 6
