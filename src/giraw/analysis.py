@@ -15,12 +15,24 @@ from typing import Iterable, Iterator
 from .counting import (
     RangeDistribution,
     WalkModel,
+    bounded_counts,
     path_profile,
     profile,
+    range_classes_from,
     range_distribution,
     transfer,
 )
-from .trees import RootedTree, SharedSubtrees, Tree, generate_free_trees, make_path, reroot
+from .trees import (
+    RootedTree,
+    SharedSubtrees,
+    Tree,
+    centre_diameter,
+    free_level_sequences,
+    generate_free_trees,
+    level_tree,
+    make_path,
+    reroot,
+)
 
 
 class Verdict(enum.Enum):
@@ -129,20 +141,34 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
 
     family: "all" or "spiders". A violation is a k with
     P(Range >= k) for the tree exceeding that of the path.
+
+    Each tree is the level_tree of its centre-rooted level sequence, so its
+    diameter is centre_diameter and it is never rerooted. Both sides have
+    the denominator s^(n-1), and P(Range >= k) is 1 - f^(k-1)/s^(n-1), so
+    a violation at k is f^(k-1)(tree) < f^(k-1)(path).
     """
     if family not in ("all", "spiders"):
         raise ValueError(f"family must be 'all' or 'spiders', got {family!r}")
-    path_dist = range_distribution(make_path(n - 1).tree if n > 1 else Tree(1, ()), m)
+    sequences = free_level_sequences(n)  # checks n before the path is built
+    path = make_path(n - 1)
+    path_f = range_classes_from(bounded_counts(path, range(-1, path.tree.diameter() + 1), m))
+    denominator = m.steps_per_edge ** (n - 1)
+    # f^j is the denominator from j = diameter on; k runs over 1..n-1
+    path_f = (path_f + [denominator] * n)[: n - 1]
+    shared = SharedSubtrees()
     checked = 0
     violations: list[Violation] = []
-    for t in generate_free_trees(n):
-        if family == "spiders" and not t.is_spider():
+    for levels in sequences:
+        rt = level_tree(levels, shared)
+        if family == "spiders" and not rt.tree.is_spider():
             continue
         checked += 1
-        dist = range_distribution(t, m)
-        for k in range(1, n):
-            if dist.tail_count(k) > path_dist.tail_count(k):
-                violations.append(Violation(t, k, dist.tail(k), path_dist.tail(k)))
+        f = range_classes_from(bounded_counts(rt, range(-1, centre_diameter(levels) + 1), m))
+        for k, (a, b) in enumerate(zip(f, path_f), start=1):
+            if a < b:
+                tail_tree = Fraction(denominator - a, denominator)
+                tail_path = Fraction(denominator - b, denominator)
+                violations.append(Violation(rt.tree, k, tail_tree, tail_path))
     return ScanResult(n, m, family, checked, tuple(violations))
 
 

@@ -18,8 +18,17 @@ from pathlib import Path
 import click
 
 from . import analysis
-from .counting import WalkModel, count_bounded, range_distribution
-from .trees import Tree, TreeError, generate_free_trees, make_path, make_spider, make_star, parse_tree
+from .counting import WalkModel, bounded_counts, range_classes_from, range_distribution
+from .trees import (
+    Tree,
+    TreeError,
+    generate_free_trees,
+    make_path,
+    make_spider,
+    make_star,
+    parse_tree,
+    reroot,
+)
 
 VIOLATION_EXIT = 2
 
@@ -142,14 +151,13 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
         k = t.diameter()
     if k < 0:
         raise click.ClickException("--k must be >= 0")
-    bounded = count_bounded(t, k, m)
-    below = count_bounded(t, k - 1, m) if k >= 1 else 0
+    bounded = bounded_counts(reroot(t, 0), range(k - 1, k + 1), m)  # F^(k-1), F^k
     data = {
         "n": t.n,
         "k": k,
         "model": m.value,
-        "bounded_labelings": str(bounded),
-        "range_classes": str(bounded - below),
+        "bounded_labelings": str(bounded[1]),
+        "range_classes": str(range_classes_from(bounded)[0]),
     }
     emit(data, fmt, out)
 
@@ -263,6 +271,9 @@ def verify_lemmas(
     """Exhaustively check one identity/inequality family; exit 2 on counterexample."""
     m = WalkModel(model)
     leg_list = parse_legs(legs)
+    for name, value in (("--a-max", a_max), ("--k-max", k_max), ("--tree-n-max", tree_n_max)):
+        if value < 0:
+            raise click.ClickException(f"{name} must be >= 0, got {value}")
     try:
         if lemma == "spidersums":
             result = analysis.check_spidersums(leg_list, k, m)

@@ -7,6 +7,7 @@ fractions.Fraction. Nothing here touches floating point.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,9 +33,10 @@ def band_step(prof: list[int], m: WalkModel) -> list[int]:
     The lazy model adds prof[i]; labels outside the profile contribute zero.
     """
     padded = [0, *prof, 0]
+    sides = map(operator.add, padded, padded[2:])
     if m is WalkModel.LAZY:
-        return [a + b + c for a, b, c in zip(padded, prof, padded[2:])]
-    return [a + c for a, c in zip(padded, padded[2:])]
+        return list(map(operator.add, sides, prof))
+    return list(sides)
 
 
 def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
@@ -65,7 +67,7 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
         prof = [1] * (k + 1)
         for c in t.children[v]:
             child = profiles.pop(c) if c in profiles else shared[ids[c]]
-            prof = [p * s for p, s in zip(prof, band_step(child, m))]
+            prof = list(map(operator.mul, prof, band_step(child, m)))
         if sightings[ids[v]] >= 2:
             shared[ids[v]] = tuple(prof)
         profiles[v] = prof
@@ -77,12 +79,25 @@ def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
     return sum(profile(reroot(t, 0), k, m))
 
 
+def bounded_counts(t: RootedTree, bounds: range, m: WalkModel) -> list[int]:
+    """F^k for each bound k in bounds, one profile DP each; F^k = 0 for k < 0."""
+    return [sum(profile(t, k, m)) if k >= 0 else 0 for k in bounds]
+
+
+def range_classes_from(bounded: list[int]) -> list[int]:
+    """Class counts from bounded counts at consecutive bounds.
+
+    f^k = F^k - F^(k-1) counts the translation classes of walks with range
+    <= k, so F^(j-1), F^j, ..., F^k give f^j, ..., f^k.
+    """
+    return [b - a for a, b in zip(bounded, bounded[1:])]
+
+
 def range_classes(t: Tree, k: int, m: WalkModel) -> int:
     """f^k = F^k - F^(k-1): translation classes of walks with range <= k."""
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
-    below = count_bounded(t, k - 1, m) if k >= 1 else 0
-    return count_bounded(t, k, m) - below
+    return range_classes_from(bounded_counts(reroot(t, 0), range(k - 1, k + 1), m))[0]
 
 
 @dataclass(frozen=True)
@@ -128,12 +143,10 @@ class RangeDistribution:
 def range_distribution(t: Tree, m: WalkModel) -> RangeDistribution:
     """Exact range distribution from one profile DP per bound k = 0..diameter.
 
-    f^k = F^k - F^(k-1) counts classes of range <= k, so the classes of range
-    exactly r number F^r - 2F^(r-1) + F^(r-2), with F^(-1) = F^(-2) = 0.
+    f^k counts the classes of range <= k, so f^r - f^(r-1) have range r.
     """
-    rt = reroot(t, 0)
-    F = [0, 0] + [sum(profile(rt, k, m)) for k in range(t.diameter() + 1)]
-    counts = {r: F[r + 2] - 2 * F[r + 1] + F[r] for r in range(len(F) - 2)}
+    f = range_classes_from(bounded_counts(reroot(t, 0), range(-1, t.diameter() + 1), m))
+    counts = {r: b - a for r, (a, b) in enumerate(zip([0, *f], f))}
     return RangeDistribution(
         n=t.n,
         model=m,

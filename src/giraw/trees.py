@@ -77,6 +77,15 @@ class Tree:
         if len(self._component_of(0)) != self.n:
             raise TreeError("graph is not connected")
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...], shared: SharedSubtrees) -> Tree:
+        """A tree from edges that are known to form one, without validating them again."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "edges", edges)
+        object.__setattr__(t, "shared", shared)
+        return t
+
     def _component_of(self, start: int) -> set[int]:
         adj = self.adjacency
         seen = {start}
@@ -197,12 +206,13 @@ class RootedTree:
         the same id iff they are isomorphic as rooted trees. Computing the ids
         counts one sighting of each vertex's class in the batch.
         """
-        shared = self.tree.shared
-        ids = [0] * self.n
-        for v in self.postorder():
-            shape = tuple(sorted(ids[c] for c in self.children[v]))
-            ids[v] = shared.ids.setdefault(shape, len(shared.ids))
-            shared.sightings[ids[v]] += 1
+        table, children = self.tree.shared.ids, self.children
+        leaf = table.setdefault((), len(table))
+        ids = [leaf] * self.n
+        for v in self.postorder():  # the reverse of a preorder
+            if kids := children[v]:
+                ids[v] = table.setdefault(tuple(sorted([ids[c] for c in kids])), len(table))
+        self.tree.shared.sightings.update(ids)
         return tuple(ids)
 
     def postorder(self) -> list[int]:
@@ -330,37 +340,35 @@ def generate_free_trees(n: int, shared: SharedSubtrees | None = None) -> Iterato
     """Yield one representative per isomorphism class of free trees on n vertices.
 
     The trees form one batch: they share `shared`, or a new table if it is None.
+    Each is the level_tree of a sequence of free_level_sequences(n), so its
+    vertex i is the i-th entry and its edges are the sorted (parent, child)
+    pairs.
+    """
+    shared = shared or SharedSubtrees()
+    for levels in free_level_sequences(n):
+        yield level_tree(levels, shared).tree
 
-    Each tree is the canonical level sequence of the generator of Wright,
-    Richmond, Odlyzko and McKay ("Constant time generation of free trees",
-    SIAM J. Comput. 1986), rooted at its centre, with vertex i the i-th entry
-    of the sequence and the edges its sorted (parent, child) pairs. Supports n
-    up to max_generation_n() (default 20).
+
+def free_level_sequences(n: int) -> Iterator[list[int]]:
+    """Level sequences of the free trees on n vertices, one per class, each rooted at a centre.
+
+    The generator of Wright, Richmond, Odlyzko and McKay ("Constant time
+    generation of free trees", SIAM J. Comput. 1986). A rooted tree's level
+    sequence lists the depths of its vertices in preorder, children in
+    decreasing order of their own sequences. The walk starts at the path
+    rooted at its centre and steps through rooted trees in decreasing order
+    of level sequence (Beyer and Hedetniemi), keeping only the canonical
+    centre-rooted ones and jumping over runs of non-canonical ones. Supports
+    n from 1 to max_generation_n() (default 20), checked before the first
+    sequence is asked for.
     """
     limit = max_generation_n()
     if not (1 <= n <= limit):
         raise TreeError(f"n must be in [1, {limit}], got {n}")
-    shared = shared or SharedSubtrees()
-    for levels in free_level_sequences(n):
-        last_at = [0] * n  # last_at[d]: latest vertex seen at depth d
-        edges = []
-        for v in range(1, n):
-            d = levels[v]
-            edges.append((last_at[d - 1], v))
-            last_at[d] = v
-        yield Tree(n=n, edges=tuple(sorted(edges)), shared=shared)
+    return _wrom_walk(n)
 
 
-def free_level_sequences(n: int) -> Iterator[list[int]]:
-    """Level sequences of the free trees on n >= 1 vertices, one per class (WROM).
-
-    A rooted tree's level sequence lists the depths of its vertices in
-    preorder, children in decreasing order of their own sequences. The walk
-    starts at the path rooted at its centre and steps through rooted trees in
-    decreasing order of level sequence (Beyer and Hedetniemi), keeping only
-    the canonical centre-rooted ones and jumping over runs of
-    non-canonical ones.
-    """
+def _wrom_walk(n: int) -> Iterator[list[int]]:
     if n == 1:
         yield [0]
         return
@@ -369,6 +377,48 @@ def free_level_sequences(n: int) -> Iterator[list[int]]:
         seq = _canonical_from(seq)
         yield seq
         seq = _next_rooted(seq)
+
+
+def level_tree(levels: list[int], shared: SharedSubtrees | None = None) -> RootedTree:
+    """The rooted tree of a level sequence: vertex i is entry i, the root is 0.
+
+    A list of depths is the preorder level sequence of a rooted tree iff it
+    starts at depth 0 and every later depth is between 1 and one more than
+    the depth before it; vertex v's parent is then the last vertex before v
+    one level up. That O(n) check, which raises TreeError, stands in for
+    the validation of the edges, which are the sorted (parent, child) pairs.
+    The tree belongs to the batch `shared`, or to a new one if it is None.
+    """
+    n = len(levels)
+    if not levels or levels[0] != 0:
+        raise TreeError(f"a level sequence starts at depth 0, got {levels[:1]}")
+    children: list[list[int]] = [[] for _ in range(n)]
+    last_at = [0] * n  # last_at[d]: latest vertex seen at depth d
+    for v in range(1, n):
+        d = levels[v]
+        if not 1 <= d <= levels[v - 1] + 1:
+            raise TreeError(f"depth {d} at position {v} cannot follow depth {levels[v - 1]}")
+        children[last_at[d - 1]].append(v)
+        last_at[d] = v
+    edges = tuple((v, c) for v, kids in enumerate(children) for c in kids)
+    tree = Tree._unchecked(n, edges, shared or SharedSubtrees())
+    return RootedTree(tree, 0, tuple(map(tuple, children)))
+
+
+def centre_diameter(levels: list[int]) -> int:
+    """Diameter of a tree from its level sequence rooted at a centre.
+
+    Every longest path passes through each centre, so the diameter is the
+    sum of the heights of the two tallest branches under the root.
+    """
+    heights: list[int] = []  # height of each root branch, in order
+    for d in levels[1:]:
+        if d == 1:
+            heights.append(1)
+        elif d > heights[-1]:
+            heights[-1] = d
+    heights.sort()
+    return sum(heights[-2:])
 
 
 def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from giraw import analysis
 from giraw.analysis import (
     Verdict,
+    Violation,
     center_violations,
     check_center_monotone,
     check_difference_monotone,
@@ -18,7 +19,14 @@ from giraw.analysis import (
     spidersums_sides,
 )
 from giraw.counting import WalkModel, range_distribution
-from giraw.trees import make_path, make_spider, make_star, parse_tree, reroot
+from giraw.trees import (
+    generate_free_trees,
+    make_path,
+    make_spider,
+    make_star,
+    parse_tree,
+    reroot,
+)
 
 from oracles import tree_from_prufer
 
@@ -121,6 +129,32 @@ class TestScan:
     def test_bad_family(self):
         with pytest.raises(ValueError):
             scan_against_path(5, STANDARD, "stars")
+
+    def test_spider_family_counts_the_spiders(self):
+        for n in range(2, 15):
+            spiders = sum(1 for t in generate_free_trees(n) if t.is_spider())
+            assert scan_against_path(n, STANDARD, "spiders").trees_checked == spiders
+
+    @pytest.mark.parametrize("m", BOTH)
+    @pytest.mark.parametrize("family", ["all", "spiders"])
+    def test_violations_match_the_tail_comparison(self, monkeypatch, m, family):
+        # no tree beats the path, so the star stands in as a reference with
+        # lower tails; the scan must report what comparing tails reports
+        monkeypatch.setattr(analysis, "make_path", make_star)
+        for n in range(3, 10):
+            star = range_distribution(make_star(n - 1).tree, m)
+            want = []
+            for t in generate_free_trees(n):
+                if family == "spiders" and not t.is_spider():
+                    continue
+                dist = range_distribution(t, m)
+                for k in range(1, n):
+                    if dist.tail_count(k) > star.tail_count(k):
+                        want.append(Violation(t, k, dist.tail(k), star.tail(k)))
+            got = scan_against_path(n, m, family).violations
+            assert [v.tree.edges for v in got] == [v.tree.edges for v in want]
+            assert list(got) == want
+            assert n < 5 or want
 
     def test_json_shape(self):
         blob = scan_against_path(5, LAZY, "all").to_json_dict()

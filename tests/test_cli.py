@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from giraw import counting
 from giraw.cli import load_tree, main
 from giraw.trees import make_path, make_spider, make_star
 
@@ -78,6 +79,14 @@ class TestCount:
         blob = json.loads(res.output)
         assert blob["bounded_labelings"] == "6"
         assert blob["range_classes"] == "4"
+
+    @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3])])
+    def test_one_dp_per_bound_used(self, runner, monkeypatch, k, dps):
+        calls, profile = [], counting.profile
+        monkeypatch.setattr(counting, "profile", lambda t, k, m: calls.append(k) or profile(t, k, m))
+        res = runner.invoke(main, ["count", "--tree", "spider:3,2,2", "--k", str(k)])
+        assert res.exit_code == 0
+        assert calls == dps
 
     def test_k_defaults_to_diameter(self, runner):
         res = runner.invoke(main, ["count", "--tree", "star:3"])
@@ -166,6 +175,15 @@ class TestVerifyLemmas:
         assert res.output == (
             f"Error: --legs must be positive integers separated by commas, got '{legs}'\n"
         )
+
+    @pytest.mark.parametrize("option", ["--a-max", "--k-max", "--tree-n-max"])
+    @pytest.mark.parametrize("lemma", ["center-monotone", "difference-monotone"])
+    def test_negative_grid_bound_is_a_one_line_error(self, runner, lemma, option):
+        res = runner.invoke(
+            main, ["verify-lemmas", "--lemma", lemma, "--model", "lazy", option, "-1"]
+        )
+        assert res.exit_code == 1
+        assert res.output == f"Error: {option} must be >= 0, got -1\n"
 
     def test_center_monotone_lazy(self, runner):
         res = runner.invoke(

@@ -9,16 +9,28 @@ from hypothesis import strategies as st
 from giraw import analysis, counting
 from giraw.counting import (
     WalkModel,
+    bounded_counts,
     count_bounded,
     endpoint_difference_distribution,
     f_start_count,
     path_profile,
     profile,
     range_classes,
+    range_classes_from,
     range_distribution,
     transfer,
 )
-from giraw.trees import Tree, generate_free_trees, make_path, make_spider, make_star, reroot
+from giraw.trees import (
+    Tree,
+    centre_diameter,
+    free_level_sequences,
+    generate_free_trees,
+    level_tree,
+    make_path,
+    make_spider,
+    make_star,
+    reroot,
+)
 
 from fresh import run_python
 from oracles import (
@@ -261,6 +273,17 @@ class TestRangeDistribution:
             calls.clear()
             range_distribution(t, LAZY)
             assert calls == list(range(t.diameter() + 1))
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_level_sequence_classes_match_the_distribution(self, m):
+        # what the scan compares: f^j of the centre-rooted level tree, up to
+        # the diameter from its level sequence
+        for n in range(1, 13):
+            for levels, t in zip(free_level_sequences(n), generate_free_trees(n)):
+                d = centre_diameter(levels)
+                f = range_classes_from(bounded_counts(level_tree(levels), range(-1, d + 1), m))
+                tails = range_distribution(t, m).tail_counts
+                assert f == [tails[0] - tails[j + 1] for j in range(d + 1)]
 
     def test_json_schema(self):
         d = range_distribution(make_path(3).tree, STANDARD)

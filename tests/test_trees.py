@@ -10,8 +10,10 @@ from giraw.trees import (
     Tree,
     TreeError,
     TreeParseError,
+    centre_diameter,
     free_level_sequences,
     generate_free_trees,
+    level_tree,
     make_path,
     make_spider,
     make_star,
@@ -176,6 +178,10 @@ class TestGeneration:
         with pytest.raises(TreeError):
             list(generate_free_trees(99))
 
+    def test_sequences_check_n_before_the_first_is_asked_for(self):
+        with pytest.raises(TreeError, match=r"n must be in \[1, 20\], got 0"):
+            free_level_sequences(0)
+
     def test_max_n_env_cap(self, monkeypatch):
         monkeypatch.setenv("GIRAW_MAX_N", "5")
         with pytest.raises(TreeError):
@@ -220,6 +226,40 @@ class TestClassIds:
         assert a.tree.shared is not b.tree.shared
         trees = list(generate_free_trees(6))
         assert all(t.shared is trees[0].shared for t in trees)
+
+
+def class_partition(ids) -> set[frozenset[int]]:
+    """The vertex sets that share a class id."""
+    blocks: dict[int, set[int]] = {}
+    for v, c in enumerate(ids):
+        blocks.setdefault(c, set()).add(v)
+    return {frozenset(b) for b in blocks.values()}
+
+
+class TestLevelTree:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_agrees_with_the_validated_tree(self, n):
+        for levels, t in zip(free_level_sequences(n), generate_free_trees(n)):
+            rt = level_tree(levels)
+            assert rt.root == 0 and rt.tree == t
+            assert rt.children == reroot(t, 0).children
+            assert centre_diameter(levels) == t.diameter()
+            assert class_partition(rt.class_ids) == class_partition(reroot(t, 0).class_ids)
+
+    def test_sightings_are_one_per_vertex(self):
+        shared = SharedSubtrees()
+        rts = [level_tree(levels, shared) for levels in free_level_sequences(8)]
+        for rt in rts:
+            rt.class_ids
+        assert sum(shared.sightings.values()) == 8 * len(rts)
+        assert all(rt.tree.shared is shared for rt in rts)
+
+    @pytest.mark.parametrize(
+        "levels", [[], [1], [0, 0], [0, 2], [0, 1, 3], [0, 1, 2, 1, 3], [0, 1, -1]]
+    )
+    def test_malformed_sequence_rejected(self, levels):
+        with pytest.raises(TreeError):
+            level_tree(levels)
 
 
 class TestRooting:
