@@ -15,10 +15,9 @@ from typing import Iterable, Iterator
 from .counting import (
     RangeDistribution,
     WalkModel,
-    bounded_counts,
     path_profile,
     profile,
-    range_classes_from,
+    range_classes_to_diameter,
     range_distribution,
     transfer,
 )
@@ -150,11 +149,9 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
     if family not in ("all", "spiders"):
         raise ValueError(f"family must be 'all' or 'spiders', got {family!r}")
     sequences = free_level_sequences(n)  # checks n before the path is built
-    path = make_path(n - 1)
-    path_f = range_classes_from(bounded_counts(path, range(-1, path.tree.diameter() + 1), m))
+    # f^0..f^(n-1) of the path cover every tree's f^0..f^D
+    path_f = range_classes_to_diameter(make_path(n - 1), n - 1, m)
     denominator = m.steps_per_edge ** (n - 1)
-    # f^j is the denominator from j = diameter on; k runs over 1..n-1
-    path_f = (path_f + [denominator] * n)[: n - 1]
     shared = SharedSubtrees()
     checked = 0
     violations: list[Violation] = []
@@ -163,7 +160,7 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
         if family == "spiders" and not rt.tree.is_spider():
             continue
         checked += 1
-        f = range_classes_from(bounded_counts(rt, range(-1, centre_diameter(levels) + 1), m))
+        f = range_classes_to_diameter(rt, centre_diameter(levels), m)
         for k, (a, b) in enumerate(zip(f, path_f), start=1):
             if a < b:
                 tail_tree = Fraction(denominator - a, denominator)

@@ -18,7 +18,13 @@ from pathlib import Path
 import click
 
 from . import analysis
-from .counting import WalkModel, bounded_counts, range_classes_from, range_distribution
+from .counting import (
+    WalkModel,
+    bounded_counts,
+    count_bounded,
+    range_classes_from,
+    range_distribution,
+)
 from .trees import (
     Tree,
     TreeError,
@@ -52,7 +58,7 @@ def load_tree(spec: str) -> Tree:
         )
     try:
         return parse_tree(path.read_text())
-    except TreeError as exc:
+    except (OSError, UnicodeDecodeError, TreeError) as exc:
         raise click.ClickException(f"{spec}: {exc}")
 
 
@@ -97,7 +103,10 @@ def emit(data: dict, fmt: str, out: str | None, rows: list[dict] | None = None) 
             lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
             text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise click.ClickException(f"--out: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -147,17 +156,23 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
     """Bounded-labeling count F^k and class count f^k."""
     t = load_tree(tree_spec)
     m = WalkModel(model)
+    d = t.diameter()
     if k is None:
-        k = t.diameter()
+        k = d
     if k < 0:
         raise click.ClickException("--k must be >= 0")
-    bounded = bounded_counts(reroot(t, 0), range(k - 1, k + 1), m)  # F^(k-1), F^k
+    if k < d:
+        bounded = bounded_counts(reroot(t, 0), range(k - 1, k + 1), m)  # F^(k-1), F^k
+        labelings, classes = bounded[1], range_classes_from(bounded)[0]
+    else:  # f^j is the whole walk space s^(n-1) from j = D on, so F^j grows by it
+        classes = m.steps_per_edge ** (t.n - 1)
+        labelings = count_bounded(t, d, m) + (k - d) * classes
     data = {
         "n": t.n,
         "k": k,
         "model": m.value,
-        "bounded_labelings": str(bounded[1]),
-        "range_classes": str(range_classes_from(bounded)[0]),
+        "bounded_labelings": str(labelings),
+        "range_classes": str(classes),
     }
     emit(data, fmt, out)
 

@@ -42,36 +42,39 @@ def band_step(prof: list[int], m: WalkModel) -> list[int]:
 def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     """F_i^k profile of a rooted tree: entry i counts labelings with root label i.
 
-    Bottom-up DP: a leaf's profile is all ones; an internal vertex multiplies,
-    over its children, the band steps of the children's profiles. A subtree's
-    profile depends only on its rooted-isomorphism class, so the DP stops at
-    subtrees whose class profile is already shared in the tree's batch, and
-    shares there, as (k, model) -> class id -> root profile, each profile
-    whose class the batch has seen in at least two rooted subtrees.
+    Bottom-up DP: a vertex's profile is the entrywise product, over its
+    children, of the children's profiles pushed across their edges by
+    band_step (all ones at a leaf). A subtree's profile depends only on its
+    rooted-isomorphism class, and a parent reads it only pushed, so the
+    tree's batch memo maps (k, model) -> class id -> edge-pushed profile.
+    The DP stops at subtrees whose class is in the memo, pushes every other
+    non-root vertex once, and stores the pushed profile of each class, the
+    root's included, that the batch has seen in at least two rooted subtrees.
     """
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
     ids = t.class_ids
     sightings = t.tree.shared.sightings
-    shared = t.tree.shared.profiles.setdefault((k, m), {})
-    if ids[t.root] in shared:
-        return list(shared[ids[t.root]])
-    order = []  # the root and every vertex below it whose profile is missing
+    pushed = t.tree.shared.profiles.setdefault((k, m), {})
+    order = []  # the root and every vertex below it whose pushed profile is missing
     stack = [t.root]
     while stack:
         v = stack.pop()
         order.append(v)
-        stack += [c for c in t.children[v] if ids[c] not in shared]
-    profiles: dict[int, list[int]] = {}
-    for v in reversed(order):
-        prof = [1] * (k + 1)
-        for c in t.children[v]:
-            child = profiles.pop(c) if c in profiles else shared[ids[c]]
-            prof = list(map(operator.mul, prof, band_step(child, m)))
-        if sightings[ids[v]] >= 2:
-            shared[ids[v]] = tuple(prof)
-        profiles[v] = prof
-    return profiles[t.root]
+        stack += [c for c in t.children[v] if ids[c] not in pushed]
+    fresh: dict[int, list[int]] = {}  # pushed profiles that their parent has not read
+    leaf = (1,) * (k + 1)
+    for v in reversed(order):  # children before parents, the root last
+        children = (fresh.pop(c) if c in fresh else pushed[ids[c]] for c in t.children[v])
+        prof = next(children, leaf)
+        for child in children:
+            prof = list(map(operator.mul, prof, child))
+        admit = sightings[ids[v]] >= 2 and ids[v] not in pushed
+        if v != t.root or admit:
+            fresh[v] = band_step(prof, m)
+            if admit:
+                pushed[ids[v]] = tuple(fresh[v])
+    return list(prof)
 
 
 def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
@@ -91,6 +94,16 @@ def range_classes_from(bounded: list[int]) -> list[int]:
     <= k, so F^(j-1), F^j, ..., F^k give f^j, ..., f^k.
     """
     return [b - a for a, b in zip(bounded, bounded[1:])]
+
+
+def range_classes_to_diameter(t: RootedTree, d: int, m: WalkModel) -> list[int]:
+    """f^0..f^d of a tree with diameter d, one profile DP per bound k < d.
+
+    No walk has a range above the diameter, so f^d is the whole walk space
+    s^(n-1) and the widest DP is never run.
+    """
+    f = range_classes_from(bounded_counts(t, range(-1, d), m))
+    return [*f, m.steps_per_edge ** (t.n - 1)]
 
 
 def range_classes(t: Tree, k: int, m: WalkModel) -> int:
@@ -141,11 +154,11 @@ class RangeDistribution:
 
 
 def range_distribution(t: Tree, m: WalkModel) -> RangeDistribution:
-    """Exact range distribution from one profile DP per bound k = 0..diameter.
+    """Exact range distribution from one profile DP per bound k below the diameter.
 
     f^k counts the classes of range <= k, so f^r - f^(r-1) have range r.
     """
-    f = range_classes_from(bounded_counts(reroot(t, 0), range(-1, t.diameter() + 1), m))
+    f = range_classes_to_diameter(reroot(t, 0), t.diameter(), m)
     counts = {r: b - a for r, (a, b) in enumerate(zip([0, *f], f))}
     return RangeDistribution(
         n=t.n,

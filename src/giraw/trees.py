@@ -36,7 +36,8 @@ class SharedSubtrees:
 
     ids maps the sorted tuple of a vertex's children's class ids to the class
     id of its subtree; sightings[c] counts the rooted subtrees of class c seen
-    by RootedTree.class_ids; profiles is the profile memo of the counting layer.
+    by RootedTree.class_ids; profiles is the memo of edge-pushed profiles
+    that counting.profile keeps.
     """
 
     ids: dict[tuple[int, ...], int] = field(default_factory=dict)

@@ -20,6 +20,12 @@ def test_import_loads_neither_numpy_nor_networkx():
     assert run_python(code) == "[]\n"
 
 
+def assert_one_line_error(res, prefix: str) -> None:
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.startswith(prefix) and res.output.count("\n") == 1
+
+
 class TestLoadTree:
     def test_shorthands_match_constructors(self):
         assert load_tree("path:7").canonical_form() == make_path(7).tree.canonical_form()
@@ -72,6 +78,21 @@ class TestDist:
         res = runner.invoke(main, ["dist", "--tree", "blob:3"])
         assert res.exit_code == 1
 
+    def test_unwritable_out_is_a_one_line_error(self, runner, tmp_path):
+        out = tmp_path / "missing" / "d.json"
+        res = runner.invoke(main, ["dist", "--tree", "path:3", "--out", str(out)])
+        assert_one_line_error(res, "Error: --out: ")
+
+    def test_directory_as_tree_is_a_one_line_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["dist", "--tree", str(tmp_path)])
+        assert_one_line_error(res, f"Error: {tmp_path}: ")
+
+    def test_non_utf8_tree_file_is_a_one_line_error(self, runner, tmp_path):
+        f = tmp_path / "t.edges"
+        f.write_bytes(b"0 1\n\xff\xfe\n")
+        res = runner.invoke(main, ["dist", "--tree", str(f)])
+        assert_one_line_error(res, f"Error: {f}: ")
+
 
 class TestCount:
     def test_values(self, runner):
@@ -80,13 +101,23 @@ class TestCount:
         assert blob["bounded_labelings"] == "6"
         assert blob["range_classes"] == "4"
 
-    @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3])])
+    @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3]), (5, [5]), (9, [5])])
     def test_one_dp_per_bound_used(self, runner, monkeypatch, k, dps):
         calls, profile = [], counting.profile
         monkeypatch.setattr(counting, "profile", lambda t, k, m: calls.append(k) or profile(t, k, m))
         res = runner.invoke(main, ["count", "--tree", "spider:3,2,2", "--k", str(k)])
         assert res.exit_code == 0
         assert calls == dps
+
+    @pytest.mark.parametrize("m", ["standard", "lazy"])
+    def test_k_past_the_diameter_matches_the_direct_dp(self, runner, m):
+        # spider:2,1 has diameter 3; past it F^k grows by the whole walk space
+        direct = counting.bounded_counts(make_spider([2, 1]), range(3, 10), counting.WalkModel(m))
+        for k in range(4, 10):
+            res = runner.invoke(main, ["count", "--tree", "spider:2,1", "--k", str(k), "--model", m])
+            blob = json.loads(res.output)
+            assert blob["bounded_labelings"] == str(direct[k - 3])
+            assert blob["range_classes"] == str(direct[k - 3] - direct[k - 4])
 
     def test_k_defaults_to_diameter(self, runner):
         res = runner.invoke(main, ["count", "--tree", "star:3"])

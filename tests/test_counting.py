@@ -21,6 +21,7 @@ from giraw.counting import (
     transfer,
 )
 from giraw.trees import (
+    SharedSubtrees,
     Tree,
     centre_diameter,
     free_level_sequences,
@@ -158,6 +159,26 @@ class TestSharedProfiles:
         analysis.scan_against_path(10, LAZY)
         assert len(steps) == alone
 
+    def test_a_shared_subtree_crosses_its_edge_once(self, monkeypatch):
+        # the memo holds edge-pushed profiles, so a memo hit needs no band
+        # step: the scan makes fewer band steps than profile calls
+        calls, prof = [], counting.profile
+        monkeypatch.setattr(counting, "profile", lambda t, k, m: calls.append(k) or prof(t, k, m))
+        steps = count_band_steps(monkeypatch)
+        analysis.scan_against_path(10, STANDARD)
+        assert len(steps) < len(calls)
+
+    def test_shared_batch_matches_private_trees(self):
+        shared = SharedSubtrees()
+        for n in range(1, 9):
+            for t in generate_free_trees(n, shared):
+                for r in range(t.n):
+                    rt, alone = reroot(t, r), reroot(Tree(t.n, t.edges), r)
+                    for m in BOTH:
+                        for k in range(7):
+                            assert profile(rt, k, m) == profile(alone, k, m)
+        assert memo_entries(t) > 0
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
     def test_two_deep_trees_store_no_profiles(self):
         # the paths come from separate inputs, so they share no sightings;
@@ -272,7 +293,7 @@ class TestRangeDistribution:
         for t in [make_path(6).tree, make_star(5).tree, make_spider([3, 2, 2]).tree]:
             calls.clear()
             range_distribution(t, LAZY)
-            assert calls == list(range(t.diameter() + 1))
+            assert calls == list(range(t.diameter()))
 
     @pytest.mark.parametrize("m", BOTH)
     def test_level_sequence_classes_match_the_distribution(self, m):
