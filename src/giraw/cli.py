@@ -212,7 +212,7 @@ def scan(n: int, model: str, family: str, fmt: str, out: str | None) -> None:
     """Compare every tree on n vertices against the path; exit 2 on violation."""
     try:
         result = analysis.scan_against_path(n, WalkModel(model), family)
-    except (TreeError, ValueError) as exc:
+    except (TreeError, ValueError, analysis.ScanWorkerError) as exc:
         raise click.ClickException(str(exc))
     rows = [
         {

@@ -48,32 +48,45 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     rooted-isomorphism class, and a parent reads it only pushed, so the
     tree's batch memo maps (k, model) -> class id -> edge-pushed profile.
     The DP stops at subtrees whose class is in the memo, pushes every other
-    non-root vertex once, and stores the pushed profile of each class, the
-    root's included, that the batch has seen in at least two rooted subtrees.
+    class below the root once per call, however many vertices have it, and
+    stores the pushed profile of each class, the root's included, that the
+    batch has seen in at least two rooted subtrees.
     """
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
     ids = t.class_ids
     sightings = t.tree.shared.sightings
     pushed = t.tree.shared.profiles.setdefault((k, m), {})
-    order = []  # the root and every vertex below it whose pushed profile is missing
+    first = {ids[t.root]: t.root}  # each class to compute -> its first vertex
+    readers: dict[int, int] = {}  # class missing from the memo -> child edges that read it
     stack = [t.root]
     while stack:
-        v = stack.pop()
-        order.append(v)
-        stack += [c for c in t.children[v] if ids[c] not in pushed]
-    fresh: dict[int, list[int]] = {}  # pushed profiles that their parent has not read
-    leaf = (1,) * (k + 1)
-    for v in reversed(order):  # children before parents, the root last
-        children = (fresh.pop(c) if c in fresh else pushed[ids[c]] for c in t.children[v])
-        prof = next(children, leaf)
-        for child in children:
-            prof = list(map(operator.mul, prof, child))
-        admit = sightings[ids[v]] >= 2 and ids[v] not in pushed
+        for c in t.children[stack.pop()]:
+            if ids[c] not in pushed:
+                readers[ids[c]] = readers.get(ids[c], 0) + 1
+                if ids[c] not in first:
+                    first[ids[c]] = c
+                    stack.append(c)
+    fresh: dict[int, list[int]] = {}  # pushed profiles computed here and still to be read
+    for cls in sorted(first):  # a class id exceeds its children's: children first, the root last
+        v = first[cls]
+        prof = None
+        for c in t.children[v]:
+            if (x := ids[c]) not in readers:
+                child = pushed[x]
+            elif readers[x] > 1:
+                readers[x] -= 1
+                child = fresh[x]
+            else:
+                child = fresh.pop(x)
+            prof = child if prof is None else list(map(operator.mul, prof, child))
+        if prof is None:
+            prof = [1] * (k + 1)
+        admit = sightings[cls] >= 2 and cls not in pushed
         if v != t.root or admit:
-            fresh[v] = band_step(prof, m)
+            fresh[cls] = band_step(prof, m)
             if admit:
-                pushed[ids[v]] = tuple(fresh[v])
+                pushed[cls] = tuple(fresh[cls])
     return list(prof)
 
 
@@ -110,6 +123,8 @@ def range_classes(t: Tree, k: int, m: WalkModel) -> int:
     """f^k = F^k - F^(k-1): translation classes of walks with range <= k."""
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
+    if k >= t.diameter():  # no walk has a range above the diameter
+        return m.steps_per_edge ** (t.n - 1)
     return range_classes_from(bounded_counts(reroot(t, 0), range(k - 1, k + 1), m))[0]
 
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +32,7 @@ from giraw.trees import (
     reroot,
 )
 
+from fresh import run_python
 from oracles import tree_from_prufer
 
 STANDARD = WalkModel.STANDARD
@@ -162,6 +167,104 @@ class TestScan:
         assert blob["violations"] == []
 
 
+def in_process_shards(monkeypatch, workers: int) -> None:
+    """Make scans run their shards one after another in this process."""
+    monkeypatch.setattr(analysis, "_scan_workers", lambda n: workers)
+    monkeypatch.setattr(
+        analysis, "_run_forked", lambda shard, w: [shard(i) for i in range(w)]
+    )
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that grows by one item per os.fork call."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="pins CPUs")
+
+
+class TestScanShards:
+    @pytest.mark.parametrize("m", BOTH)
+    @pytest.mark.parametrize("family", ["all", "spiders"])
+    @pytest.mark.parametrize("reference", ["path", "star"])
+    def test_merged_shards_equal_one_process(self, monkeypatch, m, family, reference):
+        # with the star as reference the violation lists are long, so their
+        # order across shards is checked too
+        if reference == "star":
+            monkeypatch.setattr(analysis, "make_path", make_star)
+        for n in range(1 if reference == "path" else 3, 13):
+            in_process_shards(monkeypatch, 1)
+            want = scan_against_path(n, m, family)
+            assert reference == "path" or n < 5 or want.violations
+            for workers in (2, 3):
+                in_process_shards(monkeypatch, workers)
+                assert scan_against_path(n, m, family) == want
+
+    @linux_only
+    def test_forked_scan_at_the_threshold_equals_one_process(self, monkeypatch):
+        n = analysis.SHARD_MIN_N
+        forks = count_forks(monkeypatch)
+        got = scan_against_path(n, STANDARD)
+        assert len(forks) == analysis._scan_workers(n) - 1 == len(os.sched_getaffinity(0)) - 1
+        monkeypatch.setattr(analysis, "_scan_workers", lambda n: 1)
+        assert got == scan_against_path(n, STANDARD)
+        assert len(forks) == len(os.sched_getaffinity(0)) - 1  # the second run forked nothing
+
+    @linux_only
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            result = scan_against_path(analysis.SHARD_MIN_N, LAZY)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert result.trees_checked == 1301 and forks == []
+
+    @linux_only
+    def test_affinity_is_restored(self, monkeypatch):
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(analysis, "_scan_workers", lambda n: 3)
+        forks = count_forks(monkeypatch)
+        assert scan_against_path(8, LAZY).trees_checked == 23
+        assert len(forks) == 2
+        assert os.sched_getaffinity(0) == before
+
+    @linux_only
+    def test_a_child_exception_is_raised_in_the_parent(self, monkeypatch):
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(analysis, "_scan_workers", lambda n: 2)
+        shard = analysis._scan_shard
+
+        def failing(n, m, family, path_f, index, shards):
+            if index:
+                raise ValueError(f"shard {index} of {shards} failed")
+            return shard(n, m, family, path_f, index, shards)
+
+        monkeypatch.setattr(analysis, "_scan_shard", failing)
+        with pytest.raises(ValueError, match="shard 1 of 2 failed"):
+            scan_against_path(7, STANDARD)
+        assert os.sched_getaffinity(0) == before
+
+    @linux_only
+    def test_one_usable_cpu_forks_nothing(self):
+        out = run_python(
+            "import os\n"
+            "from giraw.analysis import scan_against_path, SHARD_MIN_N\n"
+            "from giraw.counting import WalkModel\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "print(scan_against_path(SHARD_MIN_N, WalkModel.LAZY).trees_checked, len(forks))\n"
+        )
+        assert out == "1301 0\n"
+
+
 class TestDominationOrder:
     def test_n4_is_chain(self):
         order = pairwise_domination_order(4, STANDARD)
@@ -265,6 +368,25 @@ class TestDifferenceMonotone:
 
     def test_lazy_with_trees(self):
         assert check_difference_monotone(LAZY, a_max=4, k_max=5, tree_n_max=6).ok
+
+    def test_each_profile_is_computed_once(self, monkeypatch):
+        # k_max + 1 cases per path, spider or rooted tree read k_max + 2 profiles
+        calls = Counter()
+        for name in ("path_profile", "spider_profile", "profile"):
+            fn = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name, lambda x, k, m, fn=fn: calls.update([(fn.__name__, str(x), k)]) or fn(x, k, m)
+            )
+        k_max = 4
+        result = check_difference_monotone(LAZY, a_max=3, k_max=k_max, max_legs=0, tree_n_max=5)
+        runs = Counter((name, x) for name, x, _ in calls)
+        assert set(calls.values()) == {1}
+        assert set(runs.values()) == {k_max + 2}
+        assert result.cases_checked == len(runs) * (k_max + 1)
+        calls.clear()
+        result = check_difference_monotone(STANDARD, a_max=0, k_max=k_max, max_legs=2, max_leg_len=2)
+        spiders = Counter(x for name, x, _ in calls if name == "spider_profile")
+        assert set(spiders.values()) == {k_max + 2} and len(spiders) == 5
 
 
 class TestSummandComparison:

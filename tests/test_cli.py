@@ -1,13 +1,19 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from giraw import counting
+from giraw import analysis, counting
 from giraw.cli import load_tree, main
 from giraw.trees import make_path, make_spider, make_star
 
-from fresh import run_python
+from fresh import SRC, run_python
 
 
 @pytest.fixture
@@ -169,6 +175,56 @@ class TestScan:
         monkeypatch.setenv("GIRAW_MAX_N", "4")
         res = runner.invoke(main, ["scan", "--n", "6", "--model", "lazy"])
         assert res.exit_code == 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="pins CPUs")
+    @pytest.mark.parametrize("how", ["exit", "raise"])
+    def test_failing_worker_is_a_one_line_error(self, runner, monkeypatch, how):
+        shard = analysis._scan_shard
+
+        def failing(n, m, family, path_f, index, shards):
+            if index and how == "exit":
+                os._exit(3)
+            if index:
+                raise ValueError(f"no trees for shard {index}")
+            return shard(n, m, family, path_f, index, shards)
+
+        monkeypatch.setattr(analysis, "_scan_workers", lambda n: 2)
+        monkeypatch.setattr(analysis, "_scan_shard", failing)
+        res = runner.invoke(main, ["scan", "--n", "7"])
+        if how == "exit":
+            want = "Error: scan worker 1 of 2 ended without a result (exit status 3)\n"
+        else:
+            want = "Error: no trees for shard 1\n"
+        assert_one_line_error(res, want)
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+        reason="lists child processes from /proc",
+    )
+    @pytest.mark.parametrize("target", ["group", "parent"])
+    def test_ctrl_c_leaves_no_worker_running(self, target):
+        # a terminal's Ctrl-C signals the whole process group; a plain kill
+        # signals the parent alone, which must then stop its workers
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "giraw.cli", "scan", "--n", "17"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+        )
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 30
+        while not (workers := children.read_text().split()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not workers:
+            proc.kill()
+            proc.wait()
+            pytest.skip("one usable CPU: the scan forked no worker")
+        if target == "group":
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            os.kill(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        assert (proc.returncode, out, err) == (1, b"", b"\nAborted!\n")
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
 
 
 class TestOrder:

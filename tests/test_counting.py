@@ -179,6 +179,29 @@ class TestSharedProfiles:
                             assert profile(rt, k, m) == profile(alone, k, m)
         assert memo_entries(t) > 0
 
+    def test_same_class_siblings_are_pushed_once(self, monkeypatch):
+        steps = count_band_steps(monkeypatch)
+        prof = profile(make_star(500), 3, STANDARD)
+        assert len(steps) == 1  # the leaf class; the star's root is seen once
+        assert prof == [1, 2**500, 2**500, 1]
+
+    def test_profile_matches_the_plain_recursion(self):
+        # every first call on a fresh tree computes each missing class once,
+        # including classes whose vertices hang under different parents
+        def plain(rt, v, k, m):
+            prof = [1] * (k + 1)
+            for c in rt.children[v]:
+                prof = [a * b for a, b in zip(prof, counting.band_step(plain(rt, c, k, m), m))]
+            return prof
+
+        for n in range(1, 9):
+            for t in generate_free_trees(n):
+                for r in range(t.n):
+                    for m in BOTH:
+                        for k in range(5):
+                            rt = reroot(Tree(t.n, t.edges), r)
+                            assert profile(rt, k, m) == plain(rt, r, k, m)
+
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
     def test_two_deep_trees_store_no_profiles(self):
         # the paths come from separate inputs, so they share no sightings;
@@ -231,6 +254,12 @@ class TestCounts:
     def test_monotone_in_k(self, t, m):
         values = [range_classes(t, k, m) for k in range(t.n)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_k_past_the_diameter_runs_no_dp(self, monkeypatch):
+        steps = count_band_steps(monkeypatch)
+        assert range_classes(make_path(3).tree, 2_000_000, STANDARD) == 8
+        assert range_classes(make_star(3).tree, 2, LAZY) == 27
+        assert steps == []
 
     def test_translation_formula_against_direct_enumeration(self):
         # validates the class-shift oracle itself on tiny cases
