@@ -304,6 +304,10 @@ def verify_lemmas(
             result = analysis.check_summand_comparison(leg_list, k, m)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    except MemoryError:
+        if lemma not in ("spidersums", "summand-comparison"):  # the lemmas that read --k
+            raise
+        raise click.ClickException(f"--k {k} is too large to tabulate")
     rows = [
         {
             "lemma": result.lemma,

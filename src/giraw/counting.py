@@ -27,12 +27,21 @@ class WalkModel(enum.Enum):
         return len(self.steps)
 
 
-def band_step(prof: list[int], m: WalkModel) -> list[int]:
+def band_step(prof: list[int], m: WalkModel, beyond: int = 0) -> list[int]:
     """Push a profile across one edge: entry i becomes prof[i-1] + prof[i+1].
 
-    The lazy model adds prof[i]; labels outside the profile contribute zero.
+    The lazy model adds prof[i]. The label below the profile contributes
+    zero, and the label just past its stored end contributes beyond: zero
+    for a full-width profile, and the mirrored entry for a half profile.
+
+    Both step sets are symmetric, so the reflection x -> k - x maps every
+    labelling in [0, k] to another one and every profile at bound k is a
+    palindrome, F_i^k = F_(k-i)^k; a band step keeps that symmetry. A half
+    profile stores F_0..F_(k//2), and the label k//2 + 1 past its end
+    mirrors to k - k//2 - 1: the last stored entry for odd k, the one before
+    it for even k >= 2, and no label for k = 0.
     """
-    padded = [0, *prof, 0]
+    padded = [0, *prof, beyond]
     sides = map(operator.add, padded, padded[2:])
     if m is WalkModel.LAZY:
         return list(map(operator.add, sides, prof))
@@ -44,16 +53,21 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
 
     Bottom-up DP: a vertex's profile is the entrywise product, over its
     children, of the children's profiles pushed across their edges by
-    band_step (all ones at a leaf). A subtree's profile depends only on its
-    rooted-isomorphism class, and a parent reads it only pushed, so the
-    tree's batch memo maps (k, model) -> class id -> edge-pushed profile.
-    The DP stops at subtrees whose class is in the memo, pushes every other
-    class below the root once per call, however many vertices have it, and
-    stores the pushed profile of each class, the root's included, that the
-    batch has seen in at least two rooted subtrees.
+    band_step (all ones at a leaf). Every profile is a palindrome
+    (F_i^k = F_(k-i)^k, see band_step), so the DP runs on half profiles
+    F_0..F_(k//2) and only the returned root profile is full width.
+    A subtree's profile depends only on its rooted-isomorphism class, and a
+    parent reads it only pushed, so the tree's batch memo maps (k, model) ->
+    class id -> edge-pushed half profile. The DP stops at subtrees whose
+    class is in the memo, pushes every other class below the root once per
+    call, however many vertices have it, and stores the pushed profile of
+    each class, the root's included, that the batch has seen in at least two
+    rooted subtrees.
     """
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
+    h = k // 2 + 1
+    mirror = k - h  # the stored label that mirrors label h; -1 for k = 0
     ids = t.class_ids
     sightings = t.tree.shared.sightings
     pushed = t.tree.shared.profiles.setdefault((k, m), {})
@@ -81,13 +95,13 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
                 child = fresh.pop(x)
             prof = child if prof is None else list(map(operator.mul, prof, child))
         if prof is None:
-            prof = [1] * (k + 1)
+            prof = [1] * h
         admit = sightings[cls] >= 2 and cls not in pushed
         if v != t.root or admit:
-            fresh[cls] = band_step(prof, m)
+            fresh[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
             if admit:
                 pushed[cls] = tuple(fresh[cls])
-    return list(prof)
+    return [*prof, *prof[: mirror + 1][::-1]]  # F_(k-i) = F_i for i <= mirror
 
 
 def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
@@ -187,24 +201,36 @@ def transfer(a: int, k: int, m: WalkModel) -> list[list[int]]:
     """Endpoint transfer table for the path with a edges.
 
     Entry [i][j] counts bounded labelings of P_a with endpoint labels i and j;
-    each row is a row of the identity pushed across a edges.
+    each row is a row of the identity pushed across a edges. The reflection
+    x -> k - x gives table[k-i][k-j] = table[i][j], so only rows
+    0..k//2 are pushed and row k-i is row i reversed.
     """
     if a < 0:
         raise ValueError(f"path length must be >= 0, got {a}")
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
-    table = [[int(i == j) for j in range(k + 1)] for i in range(k + 1)]
-    for _ in range(a):
-        table = [band_step(row, m) for row in table]
+    table = []
+    for i in range(k // 2 + 1):
+        row = [0] * (k + 1)  # allocated whole, so a huge k fails here at once
+        row[i] = 1
+        for _ in range(a):
+            row = band_step(row, m)
+        table.append(row)
+    table += [row[::-1] for row in reversed(table[: k + 1 - len(table)])]
     return table
 
 
 def path_profile(a: int, k: int, m: WalkModel) -> list[int]:
-    """F_i^k(P_a) for i = 0..k, path rooted at an endpoint."""
-    prof = [1] * (k + 1)
+    """F_i^k(P_a) for i = 0..k, path rooted at an endpoint.
+
+    Runs on the half profile F_0..F_(k//2), like profile.
+    """
+    h = k // 2 + 1
+    mirror = k - h
+    prof = [1] * h
     for _ in range(a):
-        prof = band_step(prof, m)
-    return prof
+        prof = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
+    return [*prof, *prof[: mirror + 1][::-1]]
 
 
 def f_start_count(a: int, k: int, i: int, m: WalkModel) -> int:

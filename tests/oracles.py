@@ -88,3 +88,38 @@ def free_tree_classes_by_prufer(n: int) -> set:
         tree_from_prufer(list(seq)).canonical_form()
         for seq in itertools.product(range(n), repeat=n - 2)
     }
+
+
+def oracle_path_range_counts(a: int, m: WalkModel) -> dict[int, int]:
+    """Range -> translation classes on the path with a edges, by the reflection principle.
+
+    N(d) counts the unrestricted a-step walks with displacement d. Shifted to
+    [1, k + 1], walks kept in [0, k] avoid the barriers 0 and w = k + 2, and
+    since no step jumps a barrier, those from i to j number
+    sum_l N(j - i + 2lw) - N(-(i + j) - 2 + 2lw): N folded over strips of
+    width w, two at a time. Summing over the endpoints gives F^k, and
+    f^k = F^k - F^(k-1) counts the classes of range <= k.
+    """
+    N: Counter = Counter({0: 1})
+    for _ in range(a):
+        nxt: Counter = Counter()
+        for d, c in N.items():
+            for s in m.steps:
+                nxt[d + s] += c
+        N = nxt
+
+    def bounded(k: int) -> int:
+        if k < 0:
+            return 0
+        period = 2 * (k + 2)
+        folded = [0] * period
+        for d, c in N.items():
+            folded[d % period] += c
+        kept = sum((k + 1 - abs(d)) * folded[d % period] for d in range(-k, k + 1))
+        reflected = sum(
+            (min(s, 2 * k - s) + 1) * folded[(-s - 2) % period] for s in range(2 * k + 1)
+        )
+        return kept - reflected
+
+    f = [bounded(k) - bounded(k - 1) for k in range(a + 1)]
+    return {r: b - c for r, (c, b) in enumerate(zip([0, *f], f))}

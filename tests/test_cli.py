@@ -263,6 +263,25 @@ class TestVerifyLemmas:
             f"Error: --legs must be positive integers separated by commas, got '{legs}'\n"
         )
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="limits the address space with RLIMIT_AS")
+    @pytest.mark.parametrize("lemma", ["spidersums", "summand-comparison"])
+    def test_huge_k_is_a_one_line_error(self, lemma):
+        # 1e11 labels need far more than the 1 GiB address space the child
+        # gets, so the first full-width row fails to allocate at once
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        res = subprocess.run(
+            [sys.executable, "-m", "giraw.cli", "verify-lemmas", "--lemma", lemma,
+             "--legs", "1,1", "--k", "100000000000"],
+            env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=limit,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "Error: --k 100000000000 is too large to tabulate\n"
+
     @pytest.mark.parametrize("option", ["--a-max", "--k-max", "--tree-n-max"])
     @pytest.mark.parametrize("lemma", ["center-monotone", "difference-monotone"])
     def test_negative_grid_bound_is_a_one_line_error(self, runner, lemma, option):

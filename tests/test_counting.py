@@ -38,6 +38,7 @@ from oracles import (
     oracle_F,
     oracle_F_direct,
     oracle_f,
+    oracle_path_range_counts,
     oracle_range_counts,
     tree_from_prufer,
 )
@@ -119,8 +120,37 @@ def memo_entries(t: Tree) -> int:
 def count_band_steps(monkeypatch) -> list:
     """A list that grows by one item per band_step call of the profile DP."""
     steps, band_step = [], counting.band_step
-    monkeypatch.setattr(counting, "band_step", lambda p, m: steps.append(1) or band_step(p, m))
+    monkeypatch.setattr(
+        counting, "band_step", lambda p, m, beyond=0: steps.append(1) or band_step(p, m, beyond)
+    )
     return steps
+
+
+def full_width_push(row: list[int], a: int, m: WalkModel) -> list[int]:
+    """row pushed across a edges by full-width band steps."""
+    for _ in range(a):
+        row = counting.band_step(row, m)
+    return row
+
+
+class TestHalfProfiles:
+    def test_path_profile_and_transfer_match_full_width_steps(self):
+        for m in BOTH:
+            for k in range(14):
+                identity = [[int(i == j) for j in range(k + 1)] for i in range(k + 1)]
+                for a in range(13):
+                    assert path_profile(a, k, m) == full_width_push([1] * (k + 1), a, m)
+                    assert transfer(a, k, m) == [full_width_push(r, a, m) for r in identity]
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_the_memo_stores_half_profiles(self, monkeypatch, m):
+        rooted, prof = [], counting.profile
+        monkeypatch.setattr(counting, "profile", lambda t, k, m: rooted.append(t) or prof(t, k, m))
+        analysis.scan_against_path(10, m)
+        memo = rooted[-1].tree.shared.profiles
+        assert memo_entries(rooted[-1].tree) > 0
+        for (k, _), pushed in memo.items():
+            assert {len(p) for p in pushed.values()} <= {k // 2 + 1}
 
 
 class TestSharedProfiles:
@@ -300,6 +330,16 @@ class TestRangeDistribution:
         counts = oracle_range_counts(t, m)
         assert {r: c for r, c in d.class_counts.items() if c} == dict(counts)
         assert sum(d.class_counts.values()) == d.denominator
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_long_paths_match_the_reflection_principle(self, m):
+        for a in range(9):
+            want = {r: c for r, c in oracle_path_range_counts(a, m).items() if c}
+            assert want == dict(oracle_range_counts(make_path(a).tree, m))
+        for a in range(61):
+            assert range_distribution(make_path(a).tree, m).class_counts == (
+                oracle_path_range_counts(a, m)
+            )
 
     @given(labeled_trees(9), st.sampled_from(BOTH))
     @settings(max_examples=60, deadline=None)
