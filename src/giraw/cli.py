@@ -164,9 +164,8 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
     if k < d:
         bounded = bounded_counts(reroot(t, 0), range(k - 1, k + 1), m)  # F^(k-1), F^k
         labelings, classes = bounded[1], range_classes_from(bounded)[0]
-    else:  # f^j is the whole walk space s^(n-1) from j = D on, so F^j grows by it
-        classes = m.steps_per_edge ** (t.n - 1)
-        labelings = count_bounded(t, d, m) + (k - d) * classes
+    else:  # f^j is the whole walk space s^(n-1) from j = D on
+        labelings, classes = count_bounded(t, k, m), m.steps_per_edge ** (t.n - 1)
     data = {
         "n": t.n,
         "k": k,

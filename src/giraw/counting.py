@@ -57,56 +57,54 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     (F_i^k = F_(k-i)^k, see band_step), so the DP runs on half profiles
     F_0..F_(k//2) and only the returned root profile is full width.
     A subtree's profile depends only on its rooted-isomorphism class, and a
-    parent reads it only pushed, so the tree's batch memo maps (k, model) ->
-    class id -> edge-pushed half profile. The DP stops at subtrees whose
-    class is in the memo, pushes every other class below the root once per
-    call, however many vertices have it, and stores the pushed profile of
-    each class, the root's included, that the batch has seen in at least two
-    rooted subtrees.
+    parent reads it only pushed, so the DP keeps a memo that maps class id
+    -> edge-pushed half profile: the memo of the tree's batch at (k, model),
+    or one of this call's own for a tree in no batch. The DP pushes each
+    class below the root that the memo lacks once, however many vertices
+    have it, stores it, and then multiplies the root's children. The root's
+    profile is never pushed or stored.
     """
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
     h = k // 2 + 1
     mirror = k - h  # the stored label that mirrors label h; -1 for k = 0
-    ids = t.class_ids
-    sightings = t.tree.shared.sightings
-    pushed = t.tree.shared.profiles.setdefault((k, m), {})
-    first = {ids[t.root]: t.root}  # each class to compute -> its first vertex
-    readers: dict[int, int] = {}  # class missing from the memo -> child edges that read it
+    ids, shared = t.class_ids, t.tree.shared
+    pushed = {} if shared is None else shared.profiles.setdefault((k, m), {})
+    first: dict[int, int] = {}  # each class missing from the memo -> its first vertex
     stack = [t.root]
     while stack:
         for c in t.children[stack.pop()]:
-            if ids[c] not in pushed:
-                readers[ids[c]] = readers.get(ids[c], 0) + 1
-                if ids[c] not in first:
-                    first[ids[c]] = c
-                    stack.append(c)
-    fresh: dict[int, list[int]] = {}  # pushed profiles computed here and still to be read
-    for cls in sorted(first):  # a class id exceeds its children's: children first, the root last
-        v = first[cls]
-        prof = None
-        for c in t.children[v]:
-            if (x := ids[c]) not in readers:
-                child = pushed[x]
-            elif readers[x] > 1:
-                readers[x] -= 1
-                child = fresh[x]
-            else:
-                child = fresh.pop(x)
-            prof = child if prof is None else list(map(operator.mul, prof, child))
-        if prof is None:
-            prof = [1] * h
-        admit = sightings[cls] >= 2 and cls not in pushed
-        if v != t.root or admit:
-            fresh[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
-            if admit:
-                pushed[cls] = tuple(fresh[cls])
+            if ids[c] not in pushed and ids[c] not in first:
+                first[ids[c]] = c
+                stack.append(c)
+    for cls in sorted(first):  # a class id exceeds its children's: children first
+        prof = _children_product(t, first[cls], pushed, h)
+        pushed[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
+    prof = _children_product(t, t.root, pushed, h)
     return [*prof, *prof[: mirror + 1][::-1]]  # F_(k-i) = F_i for i <= mirror
 
 
+def _children_product(t: RootedTree, v: int, pushed: dict[int, list[int]], h: int) -> list[int]:
+    """Entrywise product of the pushed half profiles of v's children; h ones at a leaf."""
+    kids = t.children[v]
+    if not kids:
+        return [1] * h
+    ids = t.class_ids
+    prof = pushed[ids[kids[0]]]
+    for c in kids[1:]:
+        prof = list(map(operator.mul, prof, pushed[ids[c]]))
+    return prof
+
+
 def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
-    """F^k: number of labelings with all labels in [0, k]."""
-    return sum(profile(reroot(t, 0), k, m))
+    """F^k: number of labelings with all labels in [0, k].
+
+    No walk's range exceeds the diameter D, so from k = D on each of the
+    s^(n-1) translation classes gains one placement per unit of k, and
+    F^k = F^D + (k - D) s^(n-1) takes one DP, at D.
+    """
+    top = min(k, t.diameter())
+    return sum(profile(reroot(t, 0), top, m)) + (k - top) * m.steps_per_edge ** (t.n - 1)
 
 
 def bounded_counts(t: RootedTree, bounds: range, m: WalkModel) -> list[int]:
@@ -250,16 +248,9 @@ def endpoint_difference_distribution(
     On a tree the labels along the unique u-v path are d independent uniform
     steps, so this is a d-fold convolution of the step distribution.
     """
-    if u == v:
-        return {0: Fraction(1)}
     d = t.distance(u, v)
-    steps = m.steps
-    per = Fraction(1, len(steps))
-    dist: dict[int, Fraction] = {0: Fraction(1)}
+    counts = [1]  # counts[i]: step sequences along the path with f(u) - f(v) = i - d
     for _ in range(d):
-        new: dict[int, Fraction] = {}
-        for x, p in dist.items():
-            for s in steps:
-                new[x + s] = new.get(x + s, Fraction(0)) + p * per
-        dist = new
-    return dict(sorted(dist.items()))
+        counts = band_step([0, *counts, 0], m)
+    total = m.steps_per_edge**d
+    return {i - d: Fraction(c, total) for i, c in enumerate(counts) if c}

@@ -20,9 +20,10 @@ from .counting import (
 )
 from .trees import RootedTree, Tree, reroot
 
-# Walks the estimators draw at once, so a draw holds SAMPLE_CHUNK x n labels
-# whatever the sample count. The seeded stream does not depend on it.
-SAMPLE_CHUNK = 1 << 14
+# Labels the estimators draw at once: SAMPLE_LABELS // n walks of n labels
+# (at least one walk), whatever the sample count. The seeded stream does not
+# depend on it.
+SAMPLE_LABELS = 40 << 14
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,11 @@ def _mean_report(name: str, values: np.ndarray, exact: Fraction | None, seed: in
 
 
 def _per_walk(sampler: WalkSampler, samples: int, stat) -> np.ndarray:
-    """stat(labels) of samples walks, drawn SAMPLE_CHUNK walks at a time, as int64."""
+    """stat(labels) of samples walks, drawn SAMPLE_LABELS // n walks at a time, as int64."""
     values = np.empty(samples, dtype=np.int64)
-    for start in range(0, samples, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, samples)
+    chunk = max(1, SAMPLE_LABELS // sampler.tree.n)
+    for start in range(0, samples, chunk):
+        stop = min(start + chunk, samples)
         values[start:stop] = stat(sampler.sample_labels(stop - start))
     return values
 

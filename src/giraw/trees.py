@@ -8,7 +8,7 @@ their batch shares grows.
 from __future__ import annotations
 
 import os
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -35,13 +35,11 @@ class SharedSubtrees:
     """Rooted subtree classes shared by one batch of trees, and their profiles.
 
     ids maps the sorted tuple of a vertex's children's class ids to the class
-    id of its subtree; sightings[c] counts the rooted subtrees of class c seen
-    by RootedTree.class_ids; profiles is the memo of edge-pushed profiles
-    that counting.profile keeps.
+    id of its subtree; profiles is the memo of edge-pushed profiles that
+    counting.profile keeps, one per class below a root, bound and model.
     """
 
     ids: dict[tuple[int, ...], int] = field(default_factory=dict)
-    sightings: Counter[int] = field(default_factory=Counter)
     profiles: dict = field(default_factory=dict)
 
 
@@ -49,13 +47,13 @@ class SharedSubtrees:
 class Tree:
     """Undirected tree on vertices 0..n-1, stored as an edge list.
 
-    shared is the subtree table of the tree's batch; by default the tree has
-    a private one.
+    shared is the subtree table of the tree's batch, or None for a tree in
+    no batch, which keeps no class ids or profiles between calls.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    shared: SharedSubtrees = field(default_factory=SharedSubtrees, compare=False, repr=False)
+    shared: SharedSubtrees | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -79,7 +77,7 @@ class Tree:
             raise TreeError("graph is not connected")
 
     @classmethod
-    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...], shared: SharedSubtrees) -> Tree:
+    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...], shared: SharedSubtrees | None) -> Tree:
         """A tree from edges that are known to form one, without validating them again."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
@@ -201,19 +199,22 @@ class RootedTree:
 
     @cached_property
     def class_ids(self) -> tuple[int, ...]:
-        """Interned rooted-isomorphism class of every vertex's subtree.
+        """Interned rooted-isomorphism class of every vertex's subtree, -1 at the root.
 
-        Two subtrees, in this or any other rooted tree of the same batch, get
-        the same id iff they are isomorphic as rooted trees. Computing the ids
-        counts one sighting of each vertex's class in the batch.
+        Two subtrees below the roots of this or any other rooted tree of the
+        same batch get the same id iff they are isomorphic as rooted trees.
+        The root is not interned: no parent in its tree reads its profile,
+        and a scanned tree's root class is seen once. A tree in no batch
+        interns into a table of its own, dropped once the ids are built.
         """
-        table, children = self.tree.shared.ids, self.children
+        shared, children = self.tree.shared, self.children
+        table = {} if shared is None else shared.ids
         leaf = table.setdefault((), len(table))
         ids = [leaf] * self.n
-        for v in self.postorder():  # the reverse of a preorder
+        for v in self.postorder()[:-1]:  # the reverse of a preorder, without the root
             if kids := children[v]:
                 ids[v] = table.setdefault(tuple(sorted([ids[c] for c in kids])), len(table))
-        self.tree.shared.sightings.update(ids)
+        ids[self.root] = -1
         return tuple(ids)
 
     def postorder(self) -> list[int]:
@@ -388,7 +389,7 @@ def level_tree(levels: list[int], shared: SharedSubtrees | None = None) -> Roote
     the depth before it; vertex v's parent is then the last vertex before v
     one level up. That O(n) check, which raises TreeError, stands in for
     the validation of the edges, which are the sorted (parent, child) pairs.
-    The tree belongs to the batch `shared`, or to a new one if it is None.
+    The tree belongs to the batch `shared`, or to no batch if it is None.
     """
     n = len(levels)
     if not levels or levels[0] != 0:
@@ -402,7 +403,7 @@ def level_tree(levels: list[int], shared: SharedSubtrees | None = None) -> Roote
         children[last_at[d - 1]].append(v)
         last_at[d] = v
     edges = tuple((v, c) for v, kids in enumerate(children) for c in kids)
-    tree = Tree._unchecked(n, edges, shared or SharedSubtrees())
+    tree = Tree._unchecked(n, edges, shared)
     return RootedTree(tree, 0, tuple(map(tuple, children)))
 
 

@@ -21,6 +21,7 @@ from giraw.counting import (
     transfer,
 )
 from giraw.trees import (
+    FREE_TREE_COUNTS,
     SharedSubtrees,
     Tree,
     centre_diameter,
@@ -155,8 +156,8 @@ class TestHalfProfiles:
 
 class TestSharedProfiles:
     def test_returned_profile_is_a_fresh_list(self):
-        # rooted at a second leaf, the generated star's root class has been
-        # seen twice and its profile is stored, so the third call is a memo hit
+        # rooted at a leaf, the generated star's root has one child, the
+        # centre, so the root's product is the centre's stored pushed profile
         star = list(generate_free_trees(5))[-1]
         a, b = reroot(star, 1), reroot(star, 2)
         want = profile(reroot(Tree(star.n, star.edges), 1), 3, LAZY)
@@ -164,12 +165,14 @@ class TestSharedProfiles:
             prof = profile(rt, 3, LAZY)
             assert prof == want
             prof[0] = -1
-        assert a.class_ids[1] in star.shared.profiles[(3, LAZY)]
+        memo = star.shared.profiles[(3, LAZY)]
+        assert a.class_ids[a.root] == -1 and -1 not in memo
+        assert a.class_ids[0] in memo
 
     def test_deep_path_shares_nothing_and_a_scan_reuses(self, monkeypatch):
         path = make_path(200).tree
         range_distribution(path, STANDARD)
-        assert memo_entries(path) == 0
+        assert path.shared is None
         rooted, prof = [], counting.profile
         monkeypatch.setattr(counting, "profile", lambda t, k, m: rooted.append(t) or prof(t, k, m))
         steps = count_band_steps(monkeypatch)
@@ -209,10 +212,38 @@ class TestSharedProfiles:
                             assert profile(rt, k, m) == profile(alone, k, m)
         assert memo_entries(t) > 0
 
+    @pytest.mark.parametrize("m", BOTH)
+    def test_a_batch_pushes_each_class_once(self, monkeypatch, m):
+        # one band step per memo entry: every class below a root is pushed
+        # once per bound and model, and no root is stored
+        steps, prof, batches = count_band_steps(monkeypatch), counting.profile, {}
+
+        def batch_steps_only(t, k, m):
+            before = len(steps)
+            out = prof(t, k, m)
+            if t.tree.shared is None:  # the path, in no batch
+                del steps[before:]
+            else:
+                batches[id(t.tree.shared)] = t.tree
+            return out
+
+        monkeypatch.setattr(counting, "profile", batch_steps_only)
+        analysis.scan_against_path(12, m)  # below the shard threshold: one batch
+        (tree,) = batches.values()
+        assert memo_entries(tree) == len(steps) > 0
+
+    def test_a_scanned_batch_interns_no_root(self, monkeypatch):
+        # fewer classes than trees, so no tree's root class is in the table
+        rooted, prof = [], counting.profile
+        monkeypatch.setattr(counting, "profile", lambda t, k, m: rooted.append(t) or prof(t, k, m))
+        analysis.scan_against_path(12, STANDARD)
+        batch = rooted[-1].tree.shared
+        assert len(batch.ids) < FREE_TREE_COUNTS[12 - 1]
+
     def test_same_class_siblings_are_pushed_once(self, monkeypatch):
         steps = count_band_steps(monkeypatch)
         prof = profile(make_star(500), 3, STANDARD)
-        assert len(steps) == 1  # the leaf class; the star's root is seen once
+        assert len(steps) == 1  # the leaf class; the root is never pushed
         assert prof == [1, 2**500, 2**500, 1]
 
     def test_profile_matches_the_plain_recursion(self):
@@ -234,7 +265,7 @@ class TestSharedProfiles:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
     def test_two_deep_trees_store_no_profiles(self):
-        # the paths come from separate inputs, so they share no sightings;
+        # the paths are in no batch, so each call's memo goes when it returns;
         # VmHWM, unlike ru_maxrss, does not inherit the forking process's peak
         peak = run_python(
             "from giraw.analysis import compare_range\n"
@@ -284,6 +315,13 @@ class TestCounts:
     def test_monotone_in_k(self, t, m):
         values = [range_classes(t, k, m) for k in range(t.n)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_count_past_the_diameter_runs_one_dp_at_it(self, monkeypatch):
+        calls, prof = [], counting.profile
+        monkeypatch.setattr(counting, "profile", lambda t, k, m: calls.append(k) or prof(t, k, m))
+        t = make_path(3).tree
+        assert count_bounded(t, 20_000_000, STANDARD) == 159_999_992
+        assert calls == [3]
 
     def test_k_past_the_diameter_runs_no_dp(self, monkeypatch):
         steps = count_band_steps(monkeypatch)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -11,6 +13,8 @@ from giraw.sampling import (
     estimate_pair_distance,
 )
 from giraw.trees import make_path, make_spider, make_star, reroot
+
+from fresh import run_python
 
 STANDARD = WalkModel.STANDARD
 LAZY = WalkModel.LAZY
@@ -98,7 +102,7 @@ class TestEstimates:
     def test_chunked_draws_give_the_one_shot_report(self, monkeypatch, m):
         t = make_spider([3, 2, 2]).tree
         samples = 1000  # not a multiple of the chunk
-        monkeypatch.setattr(sampling, "SAMPLE_CHUNK", 64)
+        monkeypatch.setattr(sampling, "SAMPLE_LABELS", 64 * t.n)  # 64 walks a draw
         labels = WalkSampler(reroot(t, 0), m, seed=5).sample_labels(samples)
 
         rep = estimate_expected_range(t, m, samples, seed=5)
@@ -108,6 +112,19 @@ class TestEstimates:
         rep = estimate_pair_distance(t, 2, 7, m, samples, seed=5)
         diffs = np.abs(labels[:, 2] - labels[:, 7])
         assert rep == _mean_report("pair_distance", diffs, rep.exact, 5)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+    def test_a_draw_of_a_long_tree_is_bounded_in_labels(self):
+        # 10,000 walks of 2,000 labels in one draw would hold 320 MB of
+        # labels and steps; draws of SAMPLE_LABELS labels hold about 10 MB
+        peak = run_python(
+            "from giraw.counting import WalkModel\n"
+            "from giraw.sampling import estimate_pair_distance\n"
+            "from giraw.trees import make_path\n"
+            "estimate_pair_distance(make_path(1999).tree, 0, 10, WalkModel.LAZY, 10_000, seed=5)\n"
+            "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+        )
+        assert int(peak.split()[1]) < 100 * 1024  # kB
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):

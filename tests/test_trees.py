@@ -223,7 +223,8 @@ class TestClassIds:
 
     def test_trees_outside_a_batch_do_not_share(self):
         a, b = make_path(3), make_path(3)
-        assert a.tree.shared is not b.tree.shared
+        assert a.tree.shared is None and b.tree.shared is None
+        assert level_tree([0, 1, 2, 3]).tree.shared is None
         trees = list(generate_free_trees(6))
         assert all(t.shared is trees[0].shared for t in trees)
 
@@ -246,12 +247,14 @@ class TestLevelTree:
             assert centre_diameter(levels) == t.diameter()
             assert class_partition(rt.class_ids) == class_partition(reroot(t, 0).class_ids)
 
-    def test_sightings_are_one_per_vertex(self):
+    def test_a_batch_interns_exactly_the_subtrees_below_the_roots(self):
         shared = SharedSubtrees()
         rts = [level_tree(levels, shared) for levels in free_level_sequences(8)]
+        below = set()
         for rt in rts:
-            rt.class_ids
-        assert sum(shared.sightings.values()) == 8 * len(rts)
+            assert rt.class_ids[0] == -1
+            below.update(rt.class_ids[1:])
+        assert below == set(shared.ids.values())
         assert all(rt.tree.shared is shared for rt in rts)
 
     @pytest.mark.parametrize(
