@@ -360,6 +360,8 @@ def sample(
             rep = sampling.estimate_pair_distance(t, u, v, m, samples, seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
+    except MemoryError:  # the per-walk statistics, one label-dtype entry a walk
+        raise click.ClickException(f"--samples {samples} is too many to hold")
     emit(rep.to_json_dict(), fmt, out)
     exact = f" (exact {rep.exact})" if rep.exact is not None else ""
     click.echo(

@@ -45,6 +45,11 @@ class WalkSampler:
         self.tree = t
         self.model = m
         self.seed = seed
+        # the smallest signed dtype that holds -n, so also +-(n - 1): every
+        # label lies within +-depth <= n - 1, and every range or label
+        # difference within +-diameter <= n - 1, so int8 up to 128 vertices
+        # is exact
+        self.dtype = np.min_scalar_type(-t.n)
         self._rng = np.random.default_rng(seed)
         self._order = t.preorder_with_parent()
         self._index = 0
@@ -60,14 +65,24 @@ class WalkSampler:
         )
 
     def sample_labels(self, count: int) -> np.ndarray:
-        """(count, n) matrix of labels; each row is one uniform walk, root label 0."""
+        """(count, n) matrix of labels; each row is one uniform walk, root label 0.
+
+        The labels are built vertex-major, one contiguous row of count walks
+        per vertex, and returned transposed; the dtype is self.dtype.
+        """
         n = self.tree.n
-        steps = np.asarray(self.model.steps)
-        draws = self._rng.integers(0, len(steps), size=(count, n - 1))
-        labels = np.zeros((count, n), dtype=np.int64)
+        s = self.model.steps_per_edge
+        draws = self._rng.integers(0, s, size=(count, n - 1))
+        # draw d steps by lo + span * d: 2d - 1 standard, d - 1 lazy
+        lo, hi = self.model.steps[0], self.model.steps[-1]
+        steps = np.ascontiguousarray(draws.T, dtype=self.dtype)
+        steps *= (hi - lo) // (s - 1)
+        steps += lo
+        labels = np.empty((n, count), dtype=self.dtype)
+        labels[self.tree.root] = 0
         for e, (v, parent) in enumerate(self._order[1:]):
-            labels[:, v] = labels[:, parent] + steps[draws[:, e]]
-        return labels
+            np.add(labels[parent], steps[e], out=labels[v])
+        return labels.T
 
 
 @dataclass(frozen=True)
@@ -109,8 +124,12 @@ def _mean_report(name: str, values: np.ndarray, exact: Fraction | None, seed: in
 
 
 def _per_walk(sampler: WalkSampler, samples: int, stat) -> np.ndarray:
-    """stat(labels) of samples walks, drawn SAMPLE_LABELS // n walks at a time, as int64."""
-    values = np.empty(samples, dtype=np.int64)
+    """stat(labels) of samples walks, drawn SAMPLE_LABELS // n walks at a time.
+
+    The statistics keep the sampler's label dtype, 1 byte a walk up to 128
+    vertices; mean and std accumulate in float64 whatever the integer dtype.
+    """
+    values = np.empty(samples, dtype=sampler.dtype)
     chunk = max(1, SAMPLE_LABELS // sampler.tree.n)
     for start in range(0, samples, chunk):
         stop = min(start + chunk, samples)

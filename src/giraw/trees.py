@@ -16,10 +16,10 @@ from typing import Iterator
 # Known counts of non-isomorphic free trees, n = 1, 2, 3, ... (OEIS A000055).
 FREE_TREE_COUNTS = (
     1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159,
-    7741, 19320, 48629, 123867, 317955, 823065,
+    7741, 19320, 48629, 123867, 317955, 823065, 2144505, 5623756,
 )
 
-DEFAULT_MAX_N = 20
+DEFAULT_MAX_N = 22
 
 
 class TreeError(ValueError):
@@ -361,7 +361,7 @@ def free_level_sequences(n: int) -> Iterator[list[int]]:
     rooted at its centre and steps through rooted trees in decreasing order
     of level sequence (Beyer and Hedetniemi), keeping only the canonical
     centre-rooted ones and jumping over runs of non-canonical ones. Supports
-    n from 1 to max_generation_n() (default 20), checked before the first
+    n from 1 to max_generation_n() (default 22), checked before the first
     sequence is asked for.
     """
     limit = max_generation_n()

@@ -354,6 +354,15 @@ class TestSample:
         args = ["sample", "--tree", "star:4", "--samples", "500", "--seed", "17"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
+    def test_huge_sample_count_is_a_one_line_error(self, runner):
+        # 10**15 one-byte statistics exceed any address space, so the
+        # allocation fails before any memory is touched
+        res = runner.invoke(
+            main, ["sample", "--tree", "path:3", "--samples", str(10**15), "--seed", "1"]
+        )
+        assert res.exit_code == 1
+        assert res.output == f"Error: --samples {10**15} is too many to hold\n"
+
 
 class TestGenTrees:
     def test_count(self, runner):

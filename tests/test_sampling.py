@@ -9,6 +9,7 @@ from giraw.counting import WalkModel, range_distribution
 from giraw.sampling import (
     WalkSampler,
     _mean_report,
+    _per_walk,
     estimate_expected_range,
     estimate_pair_distance,
 )
@@ -18,6 +19,29 @@ from fresh import run_python
 
 STANDARD = WalkModel.STANDARD
 LAZY = WalkModel.LAZY
+
+
+def int64_labels(rt, m: WalkModel, draws: np.ndarray) -> np.ndarray:
+    """Labels of a (count, n - 1) draw matrix, built in int64 by a plain per-edge loop."""
+    steps = np.asarray(m.steps, dtype=np.int64)
+    labels = np.zeros((len(draws), rt.n), dtype=np.int64)
+    for e, (v, parent) in enumerate(rt.preorder_with_parent()[1:]):
+        labels[:, v] = labels[:, parent] + steps[draws[:, e]]
+    return labels
+
+
+def walk_range(x: np.ndarray) -> np.ndarray:
+    return x.max(axis=1) - x.min(axis=1)
+
+
+class FixedDraws:
+    """Stands in for a sampler's generator: every walk takes the same draws."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def integers(self, low, high, size):
+        return np.broadcast_to(self.row, size).copy()
 
 
 class TestSampleWalk:
@@ -73,6 +97,71 @@ class TestSampleWalk:
         exact = float(range_distribution(rt.tree, STANDARD).tail(2))
         se = (exact * (1 - exact) / len(ranges)) ** 0.5
         assert abs(phat - exact) <= 3 * se
+
+
+class TestNarrowLabels:
+    # int8 holds -128..127 and int16 -32,768..32,767: n = 127 and 128 are
+    # the last int8 trees, 129 and 130 the first int16 ones
+    @pytest.mark.parametrize("m", [STANDARD, LAZY])
+    @pytest.mark.parametrize("make", [make_path, make_star])
+    @pytest.mark.parametrize("n", [127, 128, 129, 130])
+    def test_labels_equal_the_int64_loop(self, monkeypatch, n, make, m):
+        rt = reroot(make(n - 1).tree, 5)
+        draws = np.random.default_rng(9).integers(0, m.steps_per_edge, size=(300, n - 1))
+        want = int64_labels(rt, m, draws)
+        labels = WalkSampler(rt, m, seed=9).sample_labels(300)
+        assert labels.dtype == (np.int8 if n <= 128 else np.int16)
+        info = np.iinfo(labels.dtype)
+        assert info.min <= -(n - 1) and n - 1 <= info.max
+        assert np.array_equal(labels, want)
+
+        monkeypatch.setattr(sampling, "SAMPLE_LABELS", 7 * n)  # 7 walks a draw
+        ranges = _per_walk(WalkSampler(rt, m, seed=9), 300, walk_range)
+        assert np.array_equal(ranges, walk_range(want))
+        diffs = _per_walk(WalkSampler(rt, m, seed=9), 300, lambda x: np.abs(x[:, 5] - x[:, 0]))
+        assert np.array_equal(diffs, np.abs(want[:, 5] - want[:, 0]))
+
+    @pytest.mark.parametrize("m", [STANDARD, LAZY])
+    @pytest.mark.parametrize("n", [127, 128, 129, 130])
+    def test_extreme_walks_fit_the_dtype(self, n, m):
+        # seeded walks stay near 0; here every edge steps away from the root 5,
+        # down towards vertex 0 and up towards n - 1, so the range and
+        # |f(0) - f(n - 1)| reach the diameter n - 1
+        rt = reroot(make_path(n - 1).tree, 5)
+        top = m.steps_per_edge - 1
+        row = np.array([top if v > parent else 0 for v, parent in rt.preorder_with_parent()[1:]])
+        sampler = WalkSampler(rt, m, seed=0)
+        sampler._rng = FixedDraws(row)
+        labels = sampler.sample_labels(2)
+        assert np.array_equal(labels, int64_labels(rt, m, np.tile(row, (2, 1))))
+        assert walk_range(labels).tolist() == [n - 1] * 2
+        assert np.abs(labels[:, 0] - labels[:, n - 1]).tolist() == [n - 1] * 2
+
+
+# Seeded reports pinned exactly, so a change to the seeded stream, the draw
+# layout or the statistics' dtype shows. Every sample count is above
+# SAMPLE_LABELS // n, so each report spans draws; path:300 keeps its labels
+# in int16.
+PINNED_REPORTS = [
+    ("range", make_path(39), STANDARD, None, 20_000, 11, 9.03465, 0.020764248760220743),
+    ("range", make_path(39), LAZY, None, 20_000, 12, 7.2095, 0.01729408690194682),
+    ("pair", make_spider([13, 13, 13]), STANDARD, (5, 30), 20_000, 13, 2.4667, 0.01212835150981028),
+    ("pair", make_spider([13, 13, 13]), LAZY, (5, 30), 20_000, 14, 1.93595, 0.010584090939898956),
+    ("range", make_spider([13, 13, 13]), LAZY, None, 20_000, 15, 6.895, 0.015012661955860795),
+    ("range", make_path(299), STANDARD, None, 3_000, 16, 26.511, 0.15238522120195627),
+    ("pair", make_path(299), STANDARD, (0, 299), 3_000, 17, 13.512666666666666, 0.18559419719280068),
+    ("pair", make_path(299), LAZY, (0, 299), 3_000, 18, 11.107, 0.1509536404200781),
+]
+
+
+@pytest.mark.parametrize("stat, rt, m, uv, samples, seed, estimate, std_error", PINNED_REPORTS)
+def test_seeded_reports_are_pinned(stat, rt, m, uv, samples, seed, estimate, std_error):
+    assert samples > sampling.SAMPLE_LABELS // rt.n
+    if stat == "range":
+        rep = estimate_expected_range(rt.tree, m, samples, seed)
+    else:
+        rep = estimate_pair_distance(rt.tree, *uv, m, samples, seed)
+    assert (rep.estimate, rep.std_error) == (estimate, std_error)
 
 
 class TestEstimates:

@@ -132,7 +132,7 @@ class TestGeneration:
 
     def test_default_cap_is_the_last_known_count(self, monkeypatch):
         monkeypatch.delenv("GIRAW_MAX_N", raising=False)
-        assert max_generation_n() == len(FREE_TREE_COUNTS) == 20
+        assert max_generation_n() == len(FREE_TREE_COUNTS) == 22
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_same_trees_in_same_order_as_networkx(self, n):
@@ -179,7 +179,7 @@ class TestGeneration:
             list(generate_free_trees(99))
 
     def test_sequences_check_n_before_the_first_is_asked_for(self):
-        with pytest.raises(TreeError, match=r"n must be in \[1, 20\], got 0"):
+        with pytest.raises(TreeError, match=r"n must be in \[1, 22\], got 0"):
             free_level_sequences(0)
 
     def test_max_n_env_cap(self, monkeypatch):
