@@ -141,7 +141,7 @@ def dist(tree_spec: str, model: str, fmt: str, out: str | None) -> None:
     d = range_distribution(t, WalkModel(model))
     rows = [
         {"range": r, "classes": str(c), "denominator": str(d.denominator)}
-        for r, c in sorted(d.class_counts.items())
+        for r, c in d.class_counts.items()
     ]
     emit(d.to_json_dict(), fmt, out, rows)
 
@@ -288,6 +288,9 @@ def verify_lemmas(
     for name, value in (("--a-max", a_max), ("--k-max", k_max), ("--tree-n-max", tree_n_max)):
         if value < 0:
             raise click.ClickException(f"{name} must be >= 0, got {value}")
+    reads_k = lemma in ("spidersums", "summand-comparison")  # the lemmas that read --k
+    if reads_k and k < 0:
+        raise click.ClickException(f"--k must be >= 0, got {k}")
     try:
         if lemma == "spidersums":
             result = analysis.check_spidersums(leg_list, k, m)
@@ -304,7 +307,7 @@ def verify_lemmas(
     except ValueError as exc:
         raise click.ClickException(str(exc))
     except MemoryError:
-        if lemma not in ("spidersums", "summand-comparison"):  # the lemmas that read --k
+        if not reads_k:
             raise
         raise click.ClickException(f"--k {k} is too large to tabulate")
     rows = [

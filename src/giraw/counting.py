@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .trees import RootedTree, Tree, reroot
 
@@ -142,32 +143,38 @@ def range_classes(t: Tree, k: int, m: WalkModel) -> int:
 
 @dataclass(frozen=True)
 class RangeDistribution:
-    """Exact distribution of the walk range over a tree's walk space."""
+    """Exact distribution of the walk range over a tree's walk space, stored as f^0..f^D."""
 
     n: int
     model: WalkModel
-    class_counts: dict[int, int]  # range r -> number of translation classes
-    denominator: int
-    # tail_counts[k]: classes with range >= k, for k = 0..max range + 1
-    tail_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    classes: tuple[int, ...]  # f^k: classes of range <= k; f^D is the walk space s^(n-1)
 
-    def __post_init__(self) -> None:
-        tails = [self.denominator]
-        for k in range(max(self.class_counts, default=0) + 1):
-            tails.append(tails[-1] - self.class_counts.get(k, 0))
-        object.__setattr__(self, "tail_counts", tuple(tails))
+    @property
+    def denominator(self) -> int:
+        return self.classes[-1]
+
+    @property
+    def class_counts(self) -> dict[int, int]:
+        """Range r -> number of translation classes: f^r - f^(r-1) have range r."""
+        return {r: b - a for r, (a, b) in enumerate(zip([0, *self.classes], self.classes))}
+
+    @cached_property
+    def tail_counts(self) -> tuple[int, ...]:
+        """tail_counts[k]: classes with range >= k, s^(n-1) - f^(k-1), for k = 0..D + 1."""
+        return tuple(self.denominator - a for a in (0, *self.classes))
 
     def tail_count(self, k: int) -> int:
         """Number of translation classes with Range >= k."""
-        return self.tail_counts[min(max(k, 0), len(self.tail_counts) - 1)]
+        tails = self.tail_counts  # read once: a cached_property reads slower than a plain field
+        return tails[min(max(k, 0), len(tails) - 1)]
 
     def tail(self, k: int) -> Fraction:
         """P(Range >= k)."""
         return Fraction(self.tail_count(k), self.denominator)
 
     def expected_range(self) -> Fraction:
-        total = sum(r * c for r, c in self.class_counts.items())
-        return Fraction(total, self.denominator)
+        """E[Range], the sum over k >= 1 of P(Range >= k)."""
+        return Fraction(sum(self.tail_counts[1:]), self.denominator)
 
     def to_json_dict(self) -> dict:
         tails = (Fraction(c, self.denominator) for c in self.tail_counts)
@@ -175,24 +182,15 @@ class RangeDistribution:
             "n": self.n,
             "model": self.model.value,
             "denominator": str(self.denominator),
-            "class_counts": {str(r): str(c) for r, c in sorted(self.class_counts.items())},
+            "class_counts": {str(r): str(c) for r, c in self.class_counts.items()},
             "tail": {str(k): f"{p.numerator}/{p.denominator}" for k, p in enumerate(tails)},
         }
 
 
 def range_distribution(t: Tree, m: WalkModel) -> RangeDistribution:
-    """Exact range distribution from one profile DP per bound k below the diameter.
-
-    f^k counts the classes of range <= k, so f^r - f^(r-1) have range r.
-    """
+    """Exact range distribution from one profile DP per bound k below the diameter."""
     f = range_classes_to_diameter(reroot(t, 0), t.diameter(), m)
-    counts = {r: b - a for r, (a, b) in enumerate(zip([0, *f], f))}
-    return RangeDistribution(
-        n=t.n,
-        model=m,
-        class_counts=counts,
-        denominator=m.steps_per_edge ** (t.n - 1),
-    )
+    return RangeDistribution(t.n, m, tuple(f))
 
 
 def transfer(a: int, k: int, m: WalkModel) -> list[list[int]]:

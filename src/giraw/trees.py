@@ -7,7 +7,6 @@ their batch shares grows.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,7 +18,7 @@ FREE_TREE_COUNTS = (
     7741, 19320, 48629, 123867, 317955, 823065, 2144505, 5623756,
 )
 
-DEFAULT_MAX_N = 22
+DEFAULT_MAX_N = len(FREE_TREE_COUNTS)  # free_level_sequences stops at the last known count
 
 
 class TreeError(ValueError):
@@ -327,17 +326,6 @@ def parse_tree(text: str) -> Tree:
         raise TreeParseError(str(exc)) from None
 
 
-def max_generation_n() -> int:
-    """Generation size cap; overridable via the GIRAW_MAX_N environment variable."""
-    raw = os.environ.get("GIRAW_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise TreeError(f"GIRAW_MAX_N must be an integer, got {raw!r}") from None
-
-
 def generate_free_trees(n: int, shared: SharedSubtrees | None = None) -> Iterator[Tree]:
     """Yield one representative per isomorphism class of free trees on n vertices.
 
@@ -361,12 +349,11 @@ def free_level_sequences(n: int) -> Iterator[list[int]]:
     rooted at its centre and steps through rooted trees in decreasing order
     of level sequence (Beyer and Hedetniemi), keeping only the canonical
     centre-rooted ones and jumping over runs of non-canonical ones. Supports
-    n from 1 to max_generation_n() (default 22), checked before the first
-    sequence is asked for.
+    n from 1 to DEFAULT_MAX_N, checked before the first sequence is asked
+    for.
     """
-    limit = max_generation_n()
-    if not (1 <= n <= limit):
-        raise TreeError(f"n must be in [1, {limit}], got {n}")
+    if not (1 <= n <= DEFAULT_MAX_N):
+        raise TreeError(f"n must be in [1, {DEFAULT_MAX_N}], got {n}")
     return _wrom_walk(n)
 
 

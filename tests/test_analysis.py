@@ -1,8 +1,10 @@
+import operator
 import os
 import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from giraw.trees import (
 )
 
 from fresh import run_python
-from oracles import tree_from_prufer
+from oracles import oracle_range_counts, tree_from_prufer
 
 STANDARD = WalkModel.STANDARD
 LAZY = WalkModel.LAZY
@@ -48,6 +50,24 @@ MIRROR = {
     Verdict.RIGHT_DOMINATED_BY_LEFT: Verdict.LEFT_DOMINATED_BY_RIGHT,
     Verdict.INCOMPARABLE: Verdict.INCOMPARABLE,
 }
+
+
+def oracle_tails(t, m) -> list[int]:
+    """Classes with range >= k for k = 1..n, by enumerating every walk."""
+    counts = oracle_range_counts(t, m)
+    return [sum(c for r, c in counts.items() if r >= k) for k in range(1, t.n + 1)]
+
+
+def oracle_verdict(tl: list[int], tr: list[int]):
+    """Verdict and strict k's from two trees' enumerated tails at k = 1..n."""
+    ks = range(1, len(tl) + 1)
+    if tl == tr:
+        return Verdict.EQUAL, ()
+    if all(map(operator.le, tl, tr)):
+        return Verdict.LEFT_DOMINATED_BY_RIGHT, tuple(k for k, a, b in zip(ks, tl, tr) if a < b)
+    if all(map(operator.ge, tl, tr)):
+        return Verdict.RIGHT_DOMINATED_BY_LEFT, tuple(k for k, a, b in zip(ks, tl, tr) if a > b)
+    return Verdict.INCOMPARABLE, ()
 
 
 def same_size_tree(n: int):
@@ -300,6 +320,31 @@ class TestDominationOrder:
         monkeypatch.setattr(analysis, "range_distribution", counted)
         order = pairwise_domination_order(10, STANDARD)
         assert len(built) == len(order.trees) == 106
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_relation_matches_the_walk_enumeration(self, m):
+        for n in range(1, 9):
+            order = pairwise_domination_order(n, m)
+            tails = [oracle_tails(t, m) for t in order.trees]
+            for i, a in enumerate(tails):
+                expect = [j for j, b in enumerate(tails) if all(map(operator.le, a, b))]
+                assert order.dominators_of(i) == expect
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_compare_matches_the_walk_enumeration(self, m):
+        # the tails run to k = n, past both diameters, so a verdict that
+        # stops at the smaller diameter misses the strict k's beyond it
+        for n in range(1, 8):
+            trees = list(generate_free_trees(n))
+            tails = [oracle_tails(t, m) for t in trees]
+            for (left, tl), (right, tr) in product(zip(trees, tails), repeat=2):
+                rep = compare_range(left, right, m)
+                assert (rep.verdict, rep.strict_at) == oracle_verdict(tl, tr)
+
+    def test_compare_counts_strict_k_past_the_smaller_diameter(self):
+        rep = compare_range(make_star(4).tree, make_path(4).tree, STANDARD)
+        assert rep.verdict is Verdict.LEFT_DOMINATED_BY_RIGHT
+        assert rep.strict_at == (3, 4)
 
     def test_double_broom_dominated_only_by_self_and_path(self):
         broom_form = parse_tree(DOUBLE_BROOM).canonical_form()

@@ -171,10 +171,10 @@ class TestScan:
         )
         assert res.exit_code == 0
 
-    def test_generation_cap(self, runner, monkeypatch):
-        monkeypatch.setenv("GIRAW_MAX_N", "4")
-        res = runner.invoke(main, ["scan", "--n", "6", "--model", "lazy"])
+    def test_generation_cap(self, runner):
+        res = runner.invoke(main, ["scan", "--n", "23"])
         assert res.exit_code == 1
+        assert res.output == "Error: n must be in [1, 22], got 23\n"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="pins CPUs")
     @pytest.mark.parametrize("how", ["exit", "raise"])
@@ -290,6 +290,18 @@ class TestVerifyLemmas:
         )
         assert res.exit_code == 1
         assert res.output == f"Error: {option} must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "lemma, reads_k",
+        [("spidersums", True), ("summand-comparison", True),
+         ("center-monotone", False), ("difference-monotone", False)],
+    )
+    def test_negative_k_names_the_option(self, runner, lemma, reads_k):
+        res = runner.invoke(main, ["verify-lemmas", "--lemma", lemma, "--k", "-1"])
+        if reads_k:
+            assert (res.exit_code, res.output) == (1, "Error: --k must be >= 0, got -1\n")
+        else:  # the grid lemmas ignore --k
+            assert res.exit_code == 0
 
     def test_center_monotone_lazy(self, runner):
         res = runner.invoke(

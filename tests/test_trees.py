@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from giraw.trees import (
+    DEFAULT_MAX_N,
     FREE_TREE_COUNTS,
     SharedSubtrees,
     Tree,
@@ -17,7 +18,6 @@ from giraw.trees import (
     make_path,
     make_spider,
     make_star,
-    max_generation_n,
     parse_tree,
     reroot,
 )
@@ -130,9 +130,8 @@ class TestGeneration:
     def test_counts_match_known_sequence(self, n):
         assert sum(1 for _ in generate_free_trees(n)) == FREE_TREE_COUNTS[n - 1]
 
-    def test_default_cap_is_the_last_known_count(self, monkeypatch):
-        monkeypatch.delenv("GIRAW_MAX_N", raising=False)
-        assert max_generation_n() == len(FREE_TREE_COUNTS) == 22
+    def test_default_cap_is_the_last_known_count(self):
+        assert DEFAULT_MAX_N == len(FREE_TREE_COUNTS) == 22
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_same_trees_in_same_order_as_networkx(self, n):
@@ -181,12 +180,6 @@ class TestGeneration:
     def test_sequences_check_n_before_the_first_is_asked_for(self):
         with pytest.raises(TreeError, match=r"n must be in \[1, 22\], got 0"):
             free_level_sequences(0)
-
-    def test_max_n_env_cap(self, monkeypatch):
-        monkeypatch.setenv("GIRAW_MAX_N", "5")
-        with pytest.raises(TreeError):
-            list(generate_free_trees(6))
-        assert sum(1 for _ in generate_free_trees(5)) == 3
 
 
 class TestClassIds:
