@@ -13,12 +13,11 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement, islice
-from operator import itemgetter
+from itertools import combinations_with_replacement, compress, count, islice
+from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .counting import (
-    RangeDistribution,
     WalkModel,
     path_profile,
     profile,
@@ -73,21 +72,18 @@ class DominanceReport:
         }
 
 
-def _dominance(dl: RangeDistribution, dr: RangeDistribution) -> tuple[Verdict, tuple[int, ...]]:
-    """Verdict and strict k's of the per-k comparison of P(Range >= k).
+def _tails_above(fa: list[int], fb: list[int]) -> tuple[int, ...]:
+    """The k >= 1 with P(Range >= k) larger on tree A than on tree B.
 
-    Callers pass trees of one size and one walk model, so both distributions
-    share one denominator and their tails compare as integer counts.
+    fa, fb: f^0..f^(n-1) of two trees on n vertices in one model (_padded).
+    P(Range >= k) = 1 - f^(k-1)/s^(n-1) on both, so that is fa[k-1] < fb[k-1].
     """
-    kmax = max(len(dl.tail_counts), len(dr.tail_counts)) - 1
-    pairs = [(k, dl.tail_count(k), dr.tail_count(k)) for k in range(1, kmax + 1)]
-    if all(a == b for _, a, b in pairs):
-        return Verdict.EQUAL, ()
-    if all(a <= b for _, a, b in pairs):
-        return Verdict.LEFT_DOMINATED_BY_RIGHT, tuple(k for k, a, b in pairs if a < b)
-    if all(a >= b for _, a, b in pairs):
-        return Verdict.RIGHT_DOMINATED_BY_LEFT, tuple(k for k, a, b in pairs if a > b)
-    return Verdict.INCOMPARABLE, ()
+    return tuple(compress(count(1), map(lt, fa, fb)))
+
+
+def _padded(f: list[int] | tuple[int, ...], n: int) -> list[int]:
+    """f^0..f^(n-1) from f^0..f^D: past the diameter every f^k is f^D = s^(n-1)."""
+    return [*f, *f[-1:] * (n - len(f))]
 
 
 def compare_range(
@@ -100,7 +96,14 @@ def compare_range(
         )
     dl = range_distribution(left, m)
     dr = range_distribution(right, m)
-    verdict, strict = _dominance(dl, dr)
+    fl, fr = _padded(dl.classes, left.n), _padded(dr.classes, right.n)
+    up, down = _tails_above(fl, fr), _tails_above(fr, fl)
+    verdict, strict = {
+        (False, False): (Verdict.EQUAL, ()),
+        (False, True): (Verdict.LEFT_DOMINATED_BY_RIGHT, down),
+        (True, False): (Verdict.RIGHT_DOMINATED_BY_LEFT, up),
+        (True, True): (Verdict.INCOMPARABLE, ()),
+    }[bool(up), bool(down)]
     kmax = max(len(dl.tail_counts), len(dr.tail_counts)) - 1
     per_k = tuple((k, dl.tail(k), dr.tail(k)) for k in range(kmax + 1))
     return DominanceReport(left_id, right_id, m, per_k, verdict, strict)
@@ -153,13 +156,7 @@ class ScanWorkerError(RuntimeError):
 def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
     """Compare every free tree on n vertices against the path on n vertices.
 
-    family: "all" or "spiders". A violation is a k with
-    P(Range >= k) for the tree exceeding that of the path.
-
-    Each tree is the level_tree of its centre-rooted level sequence, so its
-    diameter is centre_diameter and it is never rerooted. Both sides have
-    the denominator s^(n-1), and P(Range >= k) is 1 - f^(k-1)/s^(n-1), so
-    a violation at k is f^(k-1)(tree) < f^(k-1)(path).
+    family: "all" or "spiders". A tree's violations are _tails_above(tree, path).
 
     From SHARD_MIN_N vertices on the trees are dealt round robin to one
     worker per usable CPU (_scan_shard); the merged result is the same
@@ -168,7 +165,6 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
     if family not in ("all", "spiders"):
         raise ValueError(f"family must be 'all' or 'spiders', got {family!r}")
     free_level_sequences(n)  # checks n before the path is built
-    # f^0..f^(n-1) of the path cover every tree's f^0..f^D
     path_f = range_classes_to_diameter(make_path(n - 1), n - 1, m)
     workers = _scan_workers(n)
     shard = partial(_scan_shard, n, m, family, path_f, shards=workers)
@@ -184,24 +180,29 @@ def _scan_shard(
 ) -> ShardPart:
     """Trees checked and violations among the trees of one shard.
 
-    The shard walks the whole level-sequence stream and checks the trees
-    whose stream index is shard mod shards, in a batch of its own. A
-    violation at k is (index, levels, k, f^(k-1) of the tree, f^(k-1) of
+    A violation at k is (index, levels, k, f^(k-1) of the tree, f^(k-1) of
     the path), all plain ints, in stream order.
     """
-    shared = SharedSubtrees()
     checked = 0
     found = []
+    for index, levels, _, f in _f_vectors(n, m, family, shard, shards):
+        checked += 1
+        found += [(index, levels, k, f[k - 1], path_f[k - 1]) for k in _tails_above(f, path_f)]
+    return checked, found
+
+
+def _f_vectors(n: int, m: WalkModel, family: str, shard: int, shards: int) -> Iterator[tuple]:
+    """(index, levels, tree, padded f) of the trees whose stream index is shard mod shards.
+
+    One batch of level_trees of centre-rooted level sequences: no reroot, no BFS diameter.
+    """
+    shared = SharedSubtrees()
     for index, levels in islice(enumerate(free_level_sequences(n)), shard, None, shards):
         rt = level_tree(levels, shared)
         if family == "spiders" and not rt.tree.is_spider():
             continue
-        checked += 1
         f = range_classes_to_diameter(rt, centre_diameter(levels), m)
-        for k, (a, b) in enumerate(zip(f, path_f), start=1):
-            if a < b:
-                found.append((index, levels, k, a, b))
-    return checked, found
+        yield index, levels, rt.tree, _padded(f, n)
 
 
 def _merge_shards(n: int, m: WalkModel, family: str, parts: list[ShardPart]) -> ScanResult:
@@ -338,12 +339,10 @@ class DominationOrder:
 
 
 def pairwise_domination_order(n: int, m: WalkModel) -> DominationOrder:
-    """Domination relation over all free trees on n vertices, one distribution each."""
-    trees = tuple(generate_free_trees(n))
-    dists = [range_distribution(t, m) for t in trees]
-    below = (Verdict.EQUAL, Verdict.LEFT_DOMINATED_BY_RIGHT)
+    """Domination relation over all free trees on n vertices, from the scan's stream."""
+    _, _, trees, fs = zip(*_f_vectors(n, m, "all", 0, 1))
     dominated_by = tuple(
-        tuple(j for j, b in enumerate(dists) if _dominance(a, b)[0] in below) for a in dists
+        tuple(j for j, fb in enumerate(fs) if not _tails_above(fa, fb)) for fa in fs
     )
     return DominationOrder(n, m, trees, dominated_by)
 

@@ -26,6 +26,7 @@ from giraw.analysis import (
 )
 from giraw.counting import WalkModel, range_distribution
 from giraw.trees import (
+    Tree,
     generate_free_trees,
     make_path,
     make_spider,
@@ -310,16 +311,22 @@ class TestDominationOrder:
                 ]
                 assert order.dominators_of(i) == expect
 
-    def test_one_distribution_per_tree(self, monkeypatch):
-        built = []
+    def test_one_f_vector_per_tree(self, monkeypatch):
+        calls = Counter()
 
-        def counted(t, m):
-            built.append(t)
-            return range_distribution(t, m)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "range_distribution", counted)
+            return wrapper
+
+        for name in ("range_classes_to_diameter", "range_distribution", "reroot"):
+            monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+        monkeypatch.setattr(Tree, "diameter", counted("diameter", Tree.diameter))
         order = pairwise_domination_order(10, STANDARD)
-        assert len(built) == len(order.trees) == 106
+        assert len(order.trees) == 106
+        assert calls == {"range_classes_to_diameter": 106}
 
     @pytest.mark.parametrize("m", BOTH)
     def test_relation_matches_the_walk_enumeration(self, m):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -171,8 +172,9 @@ class TestScan:
         )
         assert res.exit_code == 0
 
-    def test_generation_cap(self, runner):
-        res = runner.invoke(main, ["scan", "--n", "23"])
+    @pytest.mark.parametrize("command", ["scan", "order"])
+    def test_generation_cap(self, runner, command):
+        res = runner.invoke(main, [command, "--n", "23"])
         assert res.exit_code == 1
         assert res.output == "Error: n must be in [1, 22], got 23\n"
 
@@ -234,6 +236,19 @@ class TestOrder:
         blob = json.loads(res.output)
         dominated = blob["dominated_by"]
         assert sorted(len(v) for v in dominated.values()) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            ("standard", "b5d7a934155b9a15c471879bbbb78ec58a7abda9cdab3c2c7cbbe206e9ca8184"),
+            ("lazy", "d98a98e81b573fa20930a303f4bf55a7c80f8c17f37f8dcda97441a60fd3ad41"),
+        ],
+    )
+    def test_n10_output_is_pinned(self, runner, model, digest):
+        # the tree list, its labelling and the relation, byte for byte
+        res = runner.invoke(main, ["order", "--n", "10", "--model", model])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 class TestVerifyLemmas:
