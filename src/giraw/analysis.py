@@ -388,22 +388,28 @@ def _split_legs(legs: list[int]) -> tuple[int, int, list[int]]:
     return legs[0], legs[1], legs[2:]
 
 
+def _summand(legs: list[int], k: int, m: WalkModel) -> Callable[[int, int], int]:
+    """The (i, j) summand of the leg-merging expansion at bound k.
+
+    It is T[i][j] * (P_i - P_j) * (R_i - R_j), with T the transfer across the
+    first leg, P the profile of a path of the second leg's length and R the
+    profile of the spider of the other legs.
+    """
+    a1, a2, rest = _split_legs(legs)
+    tab, p2, pr = transfer(a1, k, m), path_profile(a2, k, m), spider_profile(rest, k, m)
+    return lambda i, j: tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])
+
+
 def spidersums_sides(legs: list[int], k: int, m: WalkModel) -> tuple[int, int]:
     """Both sides of the leg-merging identity for a spider.
 
     LHS: F^k(spider with legs) - F^k(spider with first two legs merged).
-    RHS: the transfer-weighted sum of profile differences over 0 <= i < j <= k.
+    RHS: the sum of the summands over 0 <= i < j <= k.
     """
     a1, a2, rest = _split_legs(legs)
     lhs = sum(spider_profile(legs, k, m)) - sum(spider_profile([a1 + a2] + rest, k, m))
-    tab = transfer(a1, k, m)
-    p2 = path_profile(a2, k, m)
-    pr = spider_profile(rest, k, m)
-    rhs = 0
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            rhs += tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])
-    return lhs, rhs
+    summand = _summand(legs, k, m)
+    return lhs, sum(summand(i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
 
 
 def check_spidersums(legs: list[int], k: int, m: WalkModel) -> LemmaCheckResult:
@@ -552,30 +558,15 @@ def check_summand_comparison(legs: list[int], k: int, m: WalkModel) -> LemmaChec
     The (i, j) summand at bound k is compared against the (i, j) summand at
     bound k+1 when i+j <= k, else against the (i+1, j+1) summand.
     """
-    a1, a2, rest = _split_legs(legs)
-
-    def summand(i: int, j: int, tab, p2, pr) -> int:
-        return tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])
-
-    tab_k = transfer(a1, k, m)
-    p2_k = path_profile(a2, k, m)
-    pr_k = spider_profile(rest, k, m)
-    tab_k1 = transfer(a1, k + 1, m)
-    p2_k1 = path_profile(a2, k + 1, m)
-    pr_k1 = spider_profile(rest, k + 1, m)
-
+    at_k, at_k1 = _summand(legs, k, m), _summand(legs, k + 1, m)
     cases = 0
     ces: list[tuple] = []
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
             cases += 1
-            lo = summand(i, j, tab_k, p2_k, pr_k)
-            if i + j <= k:
-                hi = summand(i, j, tab_k1, p2_k1, pr_k1)
-                match = (i, j)
-            else:
-                hi = summand(i + 1, j + 1, tab_k1, p2_k1, pr_k1)
-                match = (i + 1, j + 1)
+            lo = at_k(i, j)
+            match = (i, j) if i + j <= k else (i + 1, j + 1)
+            hi = at_k1(*match)
             if lo > hi:
                 ces.append((tuple(legs), k, (i, j), match, lo, hi))
     return LemmaCheckResult(

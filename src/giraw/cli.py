@@ -4,7 +4,8 @@ Tree arguments accept either a path to an edge-list file or an inline
 shorthand: ``path:a``, ``star:l``, ``spider:a1,a2,...``.
 
 Exit codes: 0 success, 1 usage/input error, 2 a mathematical violation or
-counterexample was found (scan / verify-lemmas).
+counterexample was found (scan / verify-lemmas). Every error is one line,
+``Error: ...``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -125,7 +128,31 @@ format_option = click.option(
 out_option = click.option("--out", default=None, help="Write output to this file.")
 
 
-@click.group()
+@contextmanager
+def _one_line_usage_errors() -> Iterator[None]:
+    try:
+        yield
+    except click.UsageError as exc:
+        raise click.ClickException(exc.format_message()) from None
+
+
+class _Group(click.Group):
+    """Usage errors print one line, `Error: ...`, and exit 1, as bad input does.
+
+    Click would print the usage and a hint too, and exit 2, the code giraw
+    keeps for a violation. A bare `giraw` is the usage error "Missing command.".
+    """
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _one_line_usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx: click.Context):
+        with _one_line_usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group, no_args_is_help=False)
 def main() -> None:
     """Exact range distributions of tree-indexed random walks."""
 
@@ -160,7 +187,7 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
     if k is None:
         k = d
     if k < 0:
-        raise click.ClickException("--k must be >= 0")
+        raise click.ClickException(f"--k must be >= 0, got {k}")
     if k < d:
         bounded = bounded_counts(reroot(t, 0), range(k - 1, k + 1), m)  # F^(k-1), F^k
         labelings, classes = bounded[1], range_classes_from(bounded)[0]
@@ -352,6 +379,8 @@ def sample(
 
     t = load_tree(tree_spec)
     m = WalkModel(model)
+    if seed < 0:
+        raise click.ClickException(f"--seed must be >= 0, got {seed}")
     try:
         if stat == "range":
             rep = sampling.estimate_expected_range(t, m, samples, seed)

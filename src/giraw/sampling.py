@@ -26,25 +26,12 @@ from .trees import RootedTree, Tree, reroot
 SAMPLE_LABELS = 40 << 14
 
 
-@dataclass(frozen=True)
-class WalkSample:
-    labels: tuple[int, ...]
-    model: WalkModel
-    seed: int
-    index: int  # draw index within the seeded stream
-
-    @property
-    def range(self) -> int:
-        return max(self.labels) - min(self.labels)
-
-
 class WalkSampler:
     """Seeded stream of uniform walk samples on a rooted tree."""
 
     def __init__(self, t: RootedTree, m: WalkModel, seed: int):
         self.tree = t
         self.model = m
-        self.seed = seed
         # the smallest signed dtype that holds -n, so also +-(n - 1): every
         # label lies within +-depth <= n - 1, and every range or label
         # difference within +-diameter <= n - 1, so int8 up to 128 vertices
@@ -52,17 +39,6 @@ class WalkSampler:
         self.dtype = np.min_scalar_type(-t.n)
         self._rng = np.random.default_rng(seed)
         self._order = t.preorder_with_parent()
-        self._index = 0
-
-    def sample(self) -> WalkSample:
-        labels = self.sample_labels(1)[0]
-        self._index += 1
-        return WalkSample(
-            labels=tuple(int(x) for x in labels),
-            model=self.model,
-            seed=self.seed,
-            index=self._index - 1,
-        )
 
     def sample_labels(self, count: int) -> np.ndarray:
         """(count, n) matrix of labels; each row is one uniform walk, root label 0.

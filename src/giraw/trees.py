@@ -7,7 +7,6 @@ their batch shares grows.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -72,7 +71,7 @@ class Tree:
                 raise TreeError(f"duplicate edge ({u}, {v})")
             seen.add(key)
         # n-1 distinct edges on n vertices form a tree iff the graph is connected
-        if len(self._component_of(0)) != self.n:
+        if len(self._walk(0)[0]) != self.n:
             raise TreeError("graph is not connected")
 
     @classmethod
@@ -84,17 +83,36 @@ class Tree:
         object.__setattr__(t, "shared", shared)
         return t
 
-    def _component_of(self, start: int) -> set[int]:
+    def _walk(self, root: int) -> tuple[list[int], list[int]]:
+        """The vertices reachable from root, breadth first, and every vertex's parent.
+
+        Each vertex comes after its parent, so the last is one farthest from
+        root. parent[root] is -1 and parent[v] is -2 for a vertex not
+        reached; on a tree a vertex's children are its other neighbours.
+        """
         adj = self.adjacency
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        parent = [-2] * self.n
+        parent[root] = -1
+        order = [root]
+        for v in order:  # reads the vertices it appends
+            for w in adj[v]:
+                if parent[w] == -2:
+                    parent[w] = v
+                    order.append(w)
+        return order, parent
+
+    def _longest_path(self) -> list[int]:
+        """A longest path, end to end: from the farthest vertex from 0 to the farthest from it."""
+        order, parent = self._walk(self._walk(0)[0][-1])
+        path = [order[-1]]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        return path
+
+    def _centres(self) -> set[int]:
+        """The vertices of least eccentricity: the middle one or two of any longest path."""
+        path = self._longest_path()
+        return {path[len(path) // 2], path[(len(path) - 1) // 2]}
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -113,42 +131,18 @@ class Tree:
         return deg
 
     def distance(self, u: int, v: int) -> int:
-        """Edge distance between u and v."""
+        """Edge distance between u and v: v's depth below u."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise TreeError(f"vertex out of range: ({u}, {v})")
-        adj = self.adjacency
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                return dist[x]
-            for w in adj[x]:
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-        raise TreeError("unreachable vertex")  # cannot happen on a tree
-
-    def eccentricity(self, v: int) -> tuple[int, int]:
-        """Return (farthest vertex, its distance) from v."""
-        adj = self.adjacency
-        dist = {v: 0}
-        queue = deque([v])
-        far, far_d = v, 0
-        while queue:
-            x = queue.popleft()
-            if dist[x] > far_d:
-                far, far_d = x, dist[x]
-            for w in adj[x]:
-                if w not in dist:
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-        return far, far_d
+        parent = self._walk(u)[1]
+        d = 0
+        while v != u:
+            v = parent[v]
+            d += 1
+        return d
 
     def diameter(self) -> int:
-        u, _ = self.eccentricity(0)
-        _, d = self.eccentricity(u)
-        return d
+        return len(self._longest_path()) - 1
 
     def is_spider(self) -> bool:
         """At most one vertex of degree greater than 2. Paths count."""
@@ -156,23 +150,6 @@ class Tree:
 
     def canonical_form(self) -> str:
         """Isomorphism-invariant canonical bracket string (AHU on a center root)."""
-        adj = self.adjacency
-        # find center(s) by leaf stripping
-        deg = self.degrees()
-        leaves = deque(v for v in range(self.n) if deg[v] == 1)
-        removed = 0
-        alive = [True] * self.n
-        while self.n - removed > 2:
-            for _ in range(len(leaves)):
-                v = leaves.popleft()
-                alive[v] = False
-                removed += 1
-                for w in adj[v]:
-                    if alive[w]:
-                        deg[w] -= 1
-                        if deg[w] == 1:
-                            leaves.append(w)
-        centers = [v for v in range(self.n) if alive[v]]
 
         def encode(root: int) -> str:
             rt = reroot(self, root)
@@ -181,7 +158,7 @@ class Tree:
                 codes[v] = "(" + "".join(sorted(codes.pop(c) for c in rt.children[v])) + ")"
             return codes[root]
 
-        return min(encode(c) for c in centers)
+        return min(encode(c) for c in self._centres())
 
 
 @dataclass(frozen=True)
@@ -242,20 +219,12 @@ class RootedTree:
 def reroot(t: Tree, root: int) -> RootedTree:
     if not (0 <= root < t.n):
         raise TreeError(f"root {root} out of range for n={t.n}")
-    adj = t.adjacency
-    children: list[tuple[int, ...]] = [()] * t.n
-    seen = [False] * t.n
-    seen[root] = True
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        kids = []
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                kids.append(w)
-                stack.append(w)
-        children[v] = tuple(kids)
+    children = []
+    for adj, p in zip(t.adjacency, t._walk(root)[1]):
+        if p >= 0:  # every neighbour but the parent, in adjacency order
+            i = adj.index(p)
+            adj = adj[:i] + adj[i + 1:]
+        children.append(adj)
     return RootedTree(tree=t, root=root, children=tuple(children))
 
 

@@ -56,6 +56,29 @@ def oracle_F_direct(t: Tree, k: int, m: WalkModel) -> int:
     return count
 
 
+def oracle_distances(n: int, edges) -> list[list[int]]:
+    """Edge distance between every pair of vertices, -1 where there is no path.
+
+    A breadth-first search from each vertex that scans the raw edge list
+    once per level, so it reads no adjacency the code under test builds.
+    """
+    out = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        level, grew = 0, True
+        while grew:
+            grew = False
+            for u, v in edges:
+                for a, b in ((u, v), (v, u)):
+                    if dist[a] == level and dist[b] < 0:
+                        dist[b] = level + 1
+                        grew = True
+            level += 1
+        out.append(dist)
+    return out
+
+
 def tree_from_prufer(seq: list[int]) -> Tree:
     """Decode a Prufer sequence into the labeled tree on len(seq)+2 vertices."""
     n = len(seq) + 2

@@ -33,6 +33,30 @@ def assert_one_line_error(res, prefix: str) -> None:
     assert res.output.startswith(prefix) and res.output.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["scan", "--n", "abc"], "Invalid value for '--n': 'abc' is not a valid integer."),
+        (["scan"], "Missing option '--n'."),
+        (
+            ["dist", "--tree", "path:3", "--model", "foo"],
+            "Invalid value for '--model': 'foo' is not one of 'standard', 'lazy'.",
+        ),
+        (["nosuch"], "No such command 'nosuch'."),
+    ],
+)
+def test_usage_error_is_one_line_and_exit_1(runner, args, message):
+    # exit 2 means a violation, so a usage error must not give it
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.output) == (1, f"Error: {message}\n")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]])
+def test_help_exits_0(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0 and res.output.startswith("Usage: ")
+
+
 class TestLoadTree:
     def test_shorthands_match_constructors(self):
         assert load_tree("path:7").canonical_form() == make_path(7).tree.canonical_form()
@@ -125,6 +149,10 @@ class TestCount:
             blob = json.loads(res.output)
             assert blob["bounded_labelings"] == str(direct[k - 3])
             assert blob["range_classes"] == str(direct[k - 3] - direct[k - 4])
+
+    def test_negative_k_names_the_option(self, runner):
+        res = runner.invoke(main, ["count", "--tree", "path:3", "--k", "-1"])
+        assert (res.exit_code, res.output) == (1, "Error: --k must be >= 0, got -1\n")
 
     def test_k_defaults_to_diameter(self, runner):
         res = runner.invoke(main, ["count", "--tree", "star:3"])
@@ -376,6 +404,10 @@ class TestSample:
     def test_seed_required(self, runner):
         res = runner.invoke(main, ["sample", "--tree", "path:2"])
         assert res.exit_code != 0
+
+    def test_negative_seed_names_the_option(self, runner):
+        res = runner.invoke(main, ["sample", "--tree", "path:3", "--seed", "-1"])
+        assert (res.exit_code, res.output) == (1, "Error: --seed must be >= 0, got -1\n")
 
     def test_deterministic(self, runner):
         args = ["sample", "--tree", "star:4", "--samples", "500", "--seed", "17"]

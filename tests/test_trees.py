@@ -22,7 +22,7 @@ from giraw.trees import (
     reroot,
 )
 
-from oracles import free_tree_classes_by_prufer, tree_from_prufer
+from oracles import free_tree_classes_by_prufer, oracle_distances, tree_from_prufer
 
 
 def labeled_trees(max_n: int = 8):
@@ -62,6 +62,7 @@ class TestParse:
         "text,fragment",
         [
             ("0 1\n2 3\n3 4\n4 2", "not connected"),
+            ("0 1\n1 2\n2 0\n3 4", "not connected"),  # the cycle holds vertex 0
             ("0 1\n1 2\n2 0", "edges"),
             ("0 1\n0 1", "line 2"),
             ("0 0", "line 1"),
@@ -282,6 +283,25 @@ class TestRooting:
         for v, kids in enumerate(rt.children):
             for c in kids:
                 assert pos[c] < pos[v]
+
+
+class TestWalk:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_agrees_with_all_pairs_bfs_under_relabelling(self, n):
+        # every free tree on n vertices, its vertices and edges shuffled
+        rng = random.Random(n)
+        for t in generate_free_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in t.edges]
+            rng.shuffle(edges)
+            relabeled = Tree(n, tuple(edges))
+            dist = oracle_distances(n, relabeled.edges)
+            assert [[relabeled.distance(u, v) for v in range(n)] for u in range(n)] == dist
+            ecc = [max(row) for row in dist]
+            assert relabeled.diameter() == max(ecc)
+            assert relabeled._centres() == {v for v in range(n) if ecc[v] == min(ecc)}
+            assert relabeled.canonical_form() == t.canonical_form()
 
 
 class TestShapePredicates:
