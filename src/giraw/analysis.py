@@ -233,19 +233,16 @@ def _scan_workers(n: int) -> int:
 
 
 def _run_forked(shard: Callable[[int], ShardPart], workers: int) -> list[ShardPart]:
-    """[shard(0), ..., shard(workers - 1)], each in a process pinned to its own CPU.
+    """[shard(0), ..., shard(workers - 1)], each in its own process.
 
     Shard 0 runs here and the others in forked children (_serve_shard),
     which pickle their part into a pipe. A child's exception is raised
     here; a child that ends without a part raises ScanWorkerError. The
-    children are killed if this process stops early, and its CPU affinity
-    is restored.
+    children are killed if this process stops early.
     """
     import pickle
     import signal
 
-    cpus = os.sched_getaffinity(0)
-    pins = sorted(cpus)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
     parent = os.getpid()
     children = {}  # pid -> read end of its pipe, in shard order
@@ -258,12 +255,11 @@ def _run_forked(shard: Callable[[int], ShardPart], workers: int) -> list[ShardPa
                 signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 pid = os.fork()
                 if pid == 0:
-                    _serve_shard(shard, w, pins[w % len(pins)], wr, mask, parent)
+                    _serve_shard(shard, w, wr, mask, parent)
                 children[pid] = pipe
             finally:
                 os.close(wr)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.sched_setaffinity(0, {pins[0]})
         parts = [shard(0)]
         for w, (pid, pipe) in enumerate(list(children.items()), start=1):
             with pipe:
@@ -279,7 +275,6 @@ def _run_forked(shard: Callable[[int], ShardPart], workers: int) -> list[ShardPa
             parts.append(value)
         return parts
     finally:
-        os.sched_setaffinity(0, cpus)
         for pid, pipe in children.items():
             pipe.close()
             with suppress(ProcessLookupError, ChildProcessError):  # already reaped
@@ -288,7 +283,7 @@ def _run_forked(shard: Callable[[int], ShardPart], workers: int) -> list[ShardPa
 
 
 def _serve_shard(
-    shard: Callable[[int], ShardPart], w: int, cpu: int, wr: int, mask, parent: int
+    shard: Callable[[int], ShardPart], w: int, wr: int, mask, parent: int
 ) -> NoReturn:
     """The child side of _run_forked: pickle (True, shard(w)) or (False, its exception) into wr.
 
@@ -306,7 +301,6 @@ def _serve_shard(
         if os.getppid() != parent:  # the parent ended before that
             return
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.sched_setaffinity(0, {cpu})
         try:
             reply = (True, shard(w))
         except Exception as exc:
@@ -437,6 +431,7 @@ def center_violations(rt: RootedTree, k: int, m: WalkModel) -> list[tuple[int, i
 
 def _all_rooted_trees(n_max: int) -> Iterator[tuple[str, RootedTree]]:
     """Every rooted free tree up to n_max vertices, all sizes in one batch."""
+    free_level_sequences(n_max)  # checks n_max before the first tree
     shared = SharedSubtrees()
     for n in range(1, n_max + 1):
         for idx, t in enumerate(generate_free_trees(n, shared)):

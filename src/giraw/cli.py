@@ -29,6 +29,7 @@ from .counting import (
     range_distribution,
 )
 from .trees import (
+    DEFAULT_MAX_N,
     Tree,
     TreeError,
     generate_free_trees,
@@ -51,7 +52,7 @@ def load_tree(spec: str) -> Tree:
             return make_star(int(rest)).tree
         if kind == "spider" and rest:
             return make_spider([int(x) for x in rest.split(",")]).tree
-    except (ValueError, TreeError) as exc:
+    except ValueError as exc:
         raise click.ClickException(f"bad tree shorthand {spec!r}: {exc}")
     path = Path(spec)
     if not path.exists():
@@ -129,26 +130,30 @@ out_option = click.option("--out", default=None, help="Write output to this file
 
 
 @contextmanager
-def _one_line_usage_errors() -> Iterator[None]:
+def _one_line_errors() -> Iterator[None]:
     try:
         yield
     except click.UsageError as exc:
         raise click.ClickException(exc.format_message()) from None
+    except (ValueError, analysis.ScanWorkerError) as exc:  # TreeError is a ValueError
+        raise click.ClickException(str(exc)) from None
 
 
 class _Group(click.Group):
-    """Usage errors print one line, `Error: ...`, and exit 1, as bad input does.
+    """Usage errors and library errors print one line, `Error: ...`, and exit 1.
 
     Click would print the usage and a hint too, and exit 2, the code giraw
     keeps for a violation. A bare `giraw` is the usage error "Missing command.".
+    A ValueError or ScanWorkerError from any command is bad input met by the
+    library, and prints its message alone.
     """
 
     def make_context(self, *args, **kwargs) -> click.Context:
-        with _one_line_usage_errors():
+        with _one_line_errors():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx: click.Context):
-        with _one_line_usage_errors():
+        with _one_line_errors():
             return super().invoke(ctx)
 
 
@@ -213,12 +218,9 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
     """Tail-by-tail dominance comparison of two same-size trees."""
     left = load_tree(left_spec)
     right = load_tree(right_spec)
-    try:
-        rep = analysis.compare_range(
-            left, right, WalkModel(model), left_id=left_spec, right_id=right_spec
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    rep = analysis.compare_range(
+        left, right, WalkModel(model), left_id=left_spec, right_id=right_spec
+    )
     rows = [
         {"k": k, "tail_left": f"{a.numerator}/{a.denominator}", "tail_right": f"{b.numerator}/{b.denominator}"}
         for k, a, b in rep.per_k
@@ -236,10 +238,7 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
 @out_option
 def scan(n: int, model: str, family: str, fmt: str, out: str | None) -> None:
     """Compare every tree on n vertices against the path; exit 2 on violation."""
-    try:
-        result = analysis.scan_against_path(n, WalkModel(model), family)
-    except (TreeError, ValueError, analysis.ScanWorkerError) as exc:
-        raise click.ClickException(str(exc))
+    result = analysis.scan_against_path(n, WalkModel(model), family)
     rows = [
         {
             "n": result.n,
@@ -267,10 +266,7 @@ def scan(n: int, model: str, family: str, fmt: str, out: str | None) -> None:
 @out_option
 def order(n: int, model: str, fmt: str, out: str | None) -> None:
     """Pairwise domination order over all trees on n vertices."""
-    try:
-        result = analysis.pairwise_domination_order(n, WalkModel(model))
-    except (TreeError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    result = analysis.pairwise_domination_order(n, WalkModel(model))
     rows = [
         {
             "tree": i,
@@ -315,6 +311,8 @@ def verify_lemmas(
     for name, value in (("--a-max", a_max), ("--k-max", k_max), ("--tree-n-max", tree_n_max)):
         if value < 0:
             raise click.ClickException(f"{name} must be >= 0, got {value}")
+    if tree_n_max > DEFAULT_MAX_N:  # the generator's cap
+        raise click.ClickException(f"--tree-n-max must be <= {DEFAULT_MAX_N}, got {tree_n_max}")
     reads_k = lemma in ("spidersums", "summand-comparison")  # the lemmas that read --k
     if reads_k and k < 0:
         raise click.ClickException(f"--k must be >= 0, got {k}")
@@ -331,8 +329,6 @@ def verify_lemmas(
             )
         else:
             result = analysis.check_summand_comparison(leg_list, k, m)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
     except MemoryError:
         if not reads_k:
             raise
@@ -381,17 +377,19 @@ def sample(
     m = WalkModel(model)
     if seed < 0:
         raise click.ClickException(f"--seed must be >= 0, got {seed}")
+    if samples < 1:
+        raise click.ClickException(f"--samples must be >= 1, got {samples}")
+    if stat == "pair":
+        if u is None or v is None:
+            raise click.ClickException("--stat pair requires --u and --v")
+        for name, x in (("--u", u), ("--v", v)):
+            if not 0 <= x < t.n:
+                raise click.ClickException(f"{name} must be in [0, {t.n}), got {x}")
     try:
         if stat == "range":
             rep = sampling.estimate_expected_range(t, m, samples, seed)
         else:
-            if u is None or v is None:
-                raise click.ClickException("--stat pair requires --u and --v")
-            if not (0 <= u < t.n and 0 <= v < t.n):
-                raise click.ClickException(f"vertices must be in [0, {t.n})")
             rep = sampling.estimate_pair_distance(t, u, v, m, samples, seed)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
     except MemoryError:  # the per-walk statistics, one label-dtype entry a walk
         raise click.ClickException(f"--samples {samples} is too many to hold")
     emit(rep.to_json_dict(), fmt, out)
@@ -407,10 +405,7 @@ def sample(
 @out_option
 def gen_trees(n: int, fmt: str, out: str | None) -> None:
     """Emit one representative per isomorphism class of trees on n vertices."""
-    try:
-        trees = list(generate_free_trees(n))
-    except TreeError as exc:
-        raise click.ClickException(str(exc))
+    trees = list(generate_free_trees(n))
     data = {"n": n, "count": len(trees), "trees": [list(t.edges) for t in trees]}
     rows = [
         {"tree": i, "edges": " ".join(f"{u}-{v}" for u, v in t.edges)}

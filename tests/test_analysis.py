@@ -27,6 +27,7 @@ from giraw.analysis import (
 from giraw.counting import WalkModel, range_distribution
 from giraw.trees import (
     Tree,
+    TreeError,
     generate_free_trees,
     make_path,
     make_spider,
@@ -203,7 +204,7 @@ def count_forks(monkeypatch) -> list:
     return forks
 
 
-linux_only = pytest.mark.skipif(sys.platform != "linux", reason="pins CPUs")
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="forks scan workers")
 
 
 class TestScanShards:
@@ -249,7 +250,12 @@ class TestScanShards:
 
     @linux_only
     def test_affinity_is_restored(self, monkeypatch):
+        # a scan never sets the CPU affinity, in the parent or in a worker
+        def refuse(*args):
+            raise AssertionError("a scan set the CPU affinity")
+
         before = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
         monkeypatch.setattr(analysis, "_scan_workers", lambda n: 3)
         forks = count_forks(monkeypatch)
         assert scan_against_path(8, LAZY).trees_checked == 23
@@ -408,6 +414,12 @@ class TestCenterMonotone:
     def test_standard_tree_level_check_finds_the_failure(self):
         result = check_center_monotone(2, 4, STANDARD, tree_n_max=4)
         assert not result.ok
+
+    def test_tree_size_past_the_generator_cap_fails_before_any_tree(self, monkeypatch):
+        # not after every rooted tree up to n = 22 has been checked
+        monkeypatch.setattr(analysis, "reroot", lambda t, r: pytest.fail("a tree was rooted"))
+        with pytest.raises(TreeError, match=r"^n must be in \[1, 22\], got 23$"):
+            check_center_monotone(0, 0, LAZY, tree_n_max=23)
 
 
 class TestDifferenceMonotone:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from giraw import analysis, counting
 from giraw.cli import load_tree, main
-from giraw.trees import make_path, make_spider, make_star
+from giraw.trees import TreeError, make_path, make_spider, make_star
 
 from fresh import SRC, run_python
 
@@ -49,6 +49,30 @@ def test_usage_error_is_one_line_and_exit_1(runner, args, message):
     # exit 2 means a violation, so a usage error must not give it
     res = runner.invoke(main, args)
     assert (res.exit_code, res.output) == (1, f"Error: {message}\n")
+
+
+@pytest.mark.parametrize("error", [ValueError, TreeError, analysis.ScanWorkerError])
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("giraw.cli.range_distribution", ["dist", "--tree", "path:3"]),
+        ("giraw.cli.count_bounded", ["count", "--tree", "path:3"]),
+        ("giraw.analysis.compare_range", ["compare", "--left", "path:3", "--right", "star:3"]),
+        ("giraw.analysis.scan_against_path", ["scan", "--n", "4"]),
+        ("giraw.analysis.pairwise_domination_order", ["order", "--n", "4"]),
+        ("giraw.analysis.check_spidersums", ["verify-lemmas", "--lemma", "spidersums"]),
+        ("giraw.sampling.estimate_expected_range", ["sample", "--tree", "path:3", "--seed", "1"]),
+        ("giraw.cli.generate_free_trees", ["gen-trees", "--n", "4"]),
+    ],
+)
+def test_library_error_is_one_line_and_exit_1(runner, monkeypatch, target, args, error):
+    # the group turns a library error in any command into its message alone
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(target, boom)
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.output) == (1, "Error: boom\n")
 
 
 @pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]])
@@ -206,7 +230,7 @@ class TestScan:
         assert res.exit_code == 1
         assert res.output == "Error: n must be in [1, 22], got 23\n"
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="pins CPUs")
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks scan workers")
     @pytest.mark.parametrize("how", ["exit", "raise"])
     def test_failing_worker_is_a_one_line_error(self, runner, monkeypatch, how):
         shard = analysis._scan_shard
@@ -334,6 +358,13 @@ class TestVerifyLemmas:
         assert res.exit_code == 1
         assert res.output == f"Error: {option} must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("lemma", ["center-monotone", "difference-monotone"])
+    def test_tree_size_past_the_generator_cap_names_the_option(self, runner, lemma):
+        res = runner.invoke(
+            main, ["verify-lemmas", "--lemma", lemma, "--model", "lazy", "--tree-n-max", "23"]
+        )
+        assert (res.exit_code, res.output) == (1, "Error: --tree-n-max must be <= 22, got 23\n")
+
     @pytest.mark.parametrize(
         "lemma, reads_k",
         [("spidersums", True), ("summand-comparison", True),
@@ -408,6 +439,23 @@ class TestSample:
     def test_negative_seed_names_the_option(self, runner):
         res = runner.invoke(main, ["sample", "--tree", "path:3", "--seed", "-1"])
         assert (res.exit_code, res.output) == (1, "Error: --seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_too_few_samples_names_the_option(self, runner, samples):
+        res = runner.invoke(
+            main, ["sample", "--tree", "path:3", "--seed", "1", "--samples", samples]
+        )
+        assert (res.exit_code, res.output) == (1, f"Error: --samples must be >= 1, got {samples}\n")
+
+    @pytest.mark.parametrize(
+        "u, v, option, value", [("0", "9", "--v", "9"), ("-1", "2", "--u", "-1"), ("4", "4", "--u", "4")]
+    )
+    def test_vertex_out_of_range_names_the_option(self, runner, u, v, option, value):
+        res = runner.invoke(
+            main,
+            ["sample", "--tree", "path:3", "--seed", "1", "--stat", "pair", "--u", u, "--v", v],
+        )
+        assert (res.exit_code, res.output) == (1, f"Error: {option} must be in [0, 4), got {value}\n")
 
     def test_deterministic(self, runner):
         args = ["sample", "--tree", "star:4", "--samples", "500", "--seed", "17"]
