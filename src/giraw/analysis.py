@@ -18,7 +18,10 @@ from operator import itemgetter, lt
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .counting import (
+    RootBranches,
     WalkModel,
+    centre_diameter,
+    is_spider,
     path_profile,
     profile,
     range_classes_to_diameter,
@@ -29,7 +32,6 @@ from .trees import (
     RootedTree,
     SharedSubtrees,
     Tree,
-    centre_diameter,
     free_level_sequences,
     generate_free_trees,
     level_tree,
@@ -144,9 +146,10 @@ class ScanResult:
 
 
 # Scans of fewer vertices run in one process. On 2 CPUs, start-up included
-# (medians of 40 runs), n = 12 (551 trees) took 0.198 s in one process and
-# 0.208 s in two, n = 13 (1,301 trees) 0.272 s and 0.250 s.
-SHARD_MIN_N = 13
+# (medians of 40 runs), n = 14 (3,159 trees) took 0.188 s in one process and
+# 0.182 s in two, a tie within the spread of another round (0.167 s and
+# 0.169 s), and n = 15 (7,741 trees) 0.281 s and 0.250 s.
+SHARD_MIN_N = 15
 
 
 class ScanWorkerError(RuntimeError):
@@ -156,7 +159,8 @@ class ScanWorkerError(RuntimeError):
 def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
     """Compare every free tree on n vertices against the path on n vertices.
 
-    family: "all" or "spiders". A tree's violations are _tails_above(tree, path).
+    family: "all" or "spiders". A tree's violations are _tails_above(tree, path),
+    read from its f vector (_f_vectors); only a violating tree becomes a Tree.
 
     From SHARD_MIN_N vertices on the trees are dealt round robin to one
     worker per usable CPU (_scan_shard); the merged result is the same
@@ -185,24 +189,28 @@ def _scan_shard(
     """
     checked = 0
     found = []
-    for index, levels, _, f in _f_vectors(n, m, family, shard, shards):
+    for index, levels, f in _f_vectors(n, m, family, shard, shards):
         checked += 1
         found += [(index, levels, k, f[k - 1], path_f[k - 1]) for k in _tails_above(f, path_f)]
     return checked, found
 
 
 def _f_vectors(n: int, m: WalkModel, family: str, shard: int, shards: int) -> Iterator[tuple]:
-    """(index, levels, tree, padded f) of the trees whose stream index is shard mod shards.
+    """(index, levels, padded f) of the trees whose stream index is shard mod shards.
 
-    One batch of level_trees of centre-rooted level sequences: no reroot, no BFS diameter.
+    The root-branch engine: each centre-rooted level sequence splits into
+    its root's branches, interned in one RootBranches table per call, and
+    its f vector is the weighted product of their rows. No tree, class id,
+    reroot or profile DP is made per tree, and the spider filter reads the
+    branches too.
     """
-    shared = SharedSubtrees()
+    table = RootBranches(n, m)
+    spiders = family == "spiders"
     for index, levels in islice(enumerate(free_level_sequences(n)), shard, None, shards):
-        rt = level_tree(levels, shared)
-        if family == "spiders" and not rt.tree.is_spider():
+        branches = table.split(levels)
+        if spiders and not is_spider(branches):
             continue
-        f = range_classes_to_diameter(rt, centre_diameter(levels), m)
-        yield index, levels, rt.tree, _padded(f, n)
+        yield index, levels, table.f_vector(branches, centre_diameter(branches))
 
 
 def _merge_shards(n: int, m: WalkModel, family: str, parts: list[ShardPart]) -> ScanResult:
@@ -333,8 +341,9 @@ class DominationOrder:
 
 
 def pairwise_domination_order(n: int, m: WalkModel) -> DominationOrder:
-    """Domination relation over all free trees on n vertices, from the scan's stream."""
-    _, _, trees, fs = zip(*_f_vectors(n, m, "all", 0, 1))
+    """Domination relation over all free trees on n vertices, from the scan's f vectors."""
+    _, levels, fs = zip(*_f_vectors(n, m, "all", 0, 1))
+    trees = tuple(level_tree(seq).tree for seq in levels)
     dominated_by = tuple(
         tuple(j for j, fb in enumerate(fs) if not _tails_above(fa, fb)) for fa in fs
     )

@@ -11,8 +11,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from typing import NamedTuple
 
-from .trees import RootedTree, Tree, reroot
+from .trees import RootedTree, Tree
 
 
 class WalkModel(enum.Enum):
@@ -52,11 +54,22 @@ def band_step(prof: list[int], m: WalkModel, beyond: int = 0) -> list[int]:
 def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     """F_i^k profile of a rooted tree: entry i counts labelings with root label i.
 
+    The full width of _half_profile's root profile: F_(k-i) = F_i.
+    """
+    if k < 0:
+        raise ValueError(f"label bound must be >= 0, got {k}")
+    half = _half_profile(t, k, m)
+    mirror = k - len(half)  # the stored label that mirrors label k//2 + 1; -1 for k = 0
+    return [*half, *half[: mirror + 1][::-1]]
+
+
+def _half_profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
+    """F_0..F_(k//2) of the root profile of a rooted tree at bound k >= 0.
+
     Bottom-up DP: a vertex's profile is the entrywise product, over its
     children, of the children's profiles pushed across their edges by
     band_step (all ones at a leaf). Every profile is a palindrome
-    (F_i^k = F_(k-i)^k, see band_step), so the DP runs on half profiles
-    F_0..F_(k//2) and only the returned root profile is full width.
+    (F_i^k = F_(k-i)^k, see band_step), so the DP runs on half profiles.
     A subtree's profile depends only on its rooted-isomorphism class, and a
     parent reads it only pushed, so the DP keeps a memo that maps class id
     -> edge-pushed half profile: the memo of the tree's batch at (k, model),
@@ -65,8 +78,6 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     have it, stores it, and then multiplies the root's children. The root's
     profile is never pushed or stored.
     """
-    if k < 0:
-        raise ValueError(f"label bound must be >= 0, got {k}")
     h = k // 2 + 1
     mirror = k - h  # the stored label that mirrors label h; -1 for k = 0
     ids, shared = t.class_ids, t.tree.shared
@@ -81,8 +92,7 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     for cls in sorted(first):  # a class id exceeds its children's: children first
         prof = _children_product(t, first[cls], pushed, h)
         pushed[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
-    prof = _children_product(t, t.root, pushed, h)
-    return [*prof, *prof[: mirror + 1][::-1]]  # F_(k-i) = F_i for i <= mirror
+    return _children_product(t, t.root, pushed, h)
 
 
 def _children_product(t: RootedTree, v: int, pushed: dict[int, list[int]], h: int) -> list[int]:
@@ -97,6 +107,16 @@ def _children_product(t: RootedTree, v: int, pushed: dict[int, list[int]], h: in
     return prof
 
 
+def _half_weights(k: int) -> list[int]:
+    """The weights that sum a half profile at bound k to F^k.
+
+    F_0..F_(k//2) are stored and F_(k-i) = F_i, so each stored entry counts
+    twice, except F_(k/2) at even k, its own mirror, which counts once:
+    F^k is twice the half sum less the middle entry at even k.
+    """
+    return [2] * (k // 2) + [1 + k % 2]
+
+
 def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
     """F^k: number of labelings with all labels in [0, k].
 
@@ -105,12 +125,16 @@ def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
     F^k = F^D + (k - D) s^(n-1) takes one DP, at D.
     """
     top = min(k, t.diameter())
-    return sum(profile(reroot(t, 0), top, m)) + (k - top) * m.steps_per_edge ** (t.n - 1)
+    (at_top,) = bounded_counts(t.rooted, range(top, top + 1), m)
+    return at_top + (k - top) * m.steps_per_edge ** (t.n - 1)
 
 
 def bounded_counts(t: RootedTree, bounds: range, m: WalkModel) -> list[int]:
-    """F^k for each bound k in bounds, one profile DP each; F^k = 0 for k < 0."""
-    return [sum(profile(t, k, m)) if k >= 0 else 0 for k in bounds]
+    """F^k for each bound k in bounds, one half-profile DP each; F^k = 0 for k < 0."""
+    return [
+        sum(map(operator.mul, _half_weights(k), _half_profile(t, k, m))) if k >= 0 else 0
+        for k in bounds
+    ]
 
 
 def range_classes_from(bounded: list[int]) -> list[int]:
@@ -138,7 +162,106 @@ def range_classes(t: Tree, k: int, m: WalkModel) -> int:
         raise ValueError(f"label bound must be >= 0, got {k}")
     if k >= t.diameter():  # no walk has a range above the diameter
         return m.steps_per_edge ** (t.n - 1)
-    return range_classes_from(bounded_counts(reroot(t, 0), range(k - 1, k + 1), m))[0]
+    return range_classes_from(bounded_counts(t.rooted, range(k - 1, k + 1), m))[0]
+
+
+class Branch(NamedTuple):
+    """One class of RootBranches: a subtree hanging from its parent by one edge."""
+
+    height: int  # edges from the parent to the deepest vertex
+    forks: int  # vertices with two children or more
+    rows: list[int]  # edge-pushed half profiles at k = 0, 1, ..., as far as a tree reads them
+
+
+# x -> x - 1 on every byte: lifts the key of a branch of a branch one level
+_LIFT = bytes([0, *range(255)])
+
+
+class RootBranches(dict):
+    """The root branches of level sequences on n vertices, interned by shape, in model m.
+
+    A branch is a child of the root with everything below it. In a level
+    sequence every depth-1 entry starts one, and its key is the bytes of
+    the depths below that entry, counted with the entry at depth 1. A shape
+    met one level deeper, as a branch of a branch, gets the same key from
+    the depths below its own top less one, so each class is stored once.
+    Level sequences list the children in canonical order, so equal shapes
+    have equal keys.
+
+    A class is built on its first sighting, from its own branches: the
+    entrywise product of their rows at each k, pushed across its top edge
+    by one band_step per k. f^k needs profiles only for k < D, and a
+    longest path of a centre-rooted tree meets a subtree with `size`
+    vertices that hangs by an edge in at most `height` of them (it enters
+    at the top and only goes down), so a tree that holds the class has
+    D <= n - 1 - size + height: its rows run to that bound less one. A
+    class's own branches reach at least as far.
+    """
+
+    def __init__(self, n: int, m: WalkModel):
+        super().__init__()
+        self.n, self.model = n, m
+        self.walks = m.steps_per_edge ** (n - 1)  # s^(n-1): f^k for k >= D
+        # rows[ends[k]:ends[k + 1]] is the half profile at bound k
+        self.ends = [0, *accumulate(k // 2 + 1 for k in range(n - 1))]
+        self.lasts = [e - 1 for e in self.ends[1:]]
+        self.weights = [w for k in range(n - 1) for w in _half_weights(k)]
+
+    def split(self, levels: list[int]) -> list[Branch]:
+        """The branches of the root of a level sequence, in order, each interned."""
+        return [self[key] for key in bytes(levels).split(b"\x01")[1:]]
+
+    def __missing__(self, key: bytes) -> Branch:
+        subs = [self[part.translate(_LIFT)] for part in key.split(b"\x02")[1:]]
+        size, height = len(key) + 1, max(key, default=1)
+        reach = self.n - 1 - size + height  # every k < D: see the class docstring
+        prod = [1] * self.ends[reach]
+        for b in subs:
+            prod = list(map(operator.mul, prod, b.rows))
+        rows: list[int] = []
+        for k in range(reach):
+            half = prod[self.ends[k] : self.ends[k + 1]]
+            mirror = k - len(half)  # see band_step; -1 for k = 0
+            rows += band_step(half, self.model, half[mirror] if mirror >= 0 else 0)
+        forks = sum(b.forks for b in subs) + (len(subs) > 1)
+        branch = self[key] = Branch(height, forks, rows)
+        return branch
+
+    def f_vector(self, branches: list[Branch], d: int) -> list[int]:
+        """f^0..f^(n-1) of the tree whose root has these branches and whose diameter is d.
+
+        F^k for k < d is the weighted sum (_half_weights) of the entrywise
+        product of the branches' rows at k. One running sum over all those
+        rows at once reads F^0 + ... + F^k at the end of row k, so F and f
+        are two successive differences. From d on, f^k is s^(n-1). Every
+        branch of the tree has rows up to k = d - 1.
+        """
+        prod = self.weights[: self.ends[d]]
+        for b in branches:
+            prod = map(operator.mul, prod, b.rows)
+        running = list(accumulate(prod))
+        totals = list(map(running.__getitem__, self.lasts[:d]))
+        bounded = list(map(operator.sub, totals, [0, *totals]))
+        return [*map(operator.sub, bounded, [0, *bounded]), *[self.walks] * (self.n - d)]
+
+
+def centre_diameter(branches: list[Branch]) -> int:
+    """Diameter of a tree rooted at a centre, from its root's branches.
+
+    Every longest path passes through each centre, so the diameter is the
+    sum of the heights of the two tallest branches.
+    """
+    heights = sorted([b.height for b in branches])
+    return sum(heights[-2:])
+
+
+def is_spider(branches: list[Branch]) -> bool:
+    """Whether the tree whose root has these branches has at most one vertex of degree > 2.
+
+    The root has degree > 2 with three branches or more, and any other
+    vertex with two children or more.
+    """
+    return (len(branches) > 2) + sum(b.forks for b in branches) <= 1
 
 
 @dataclass(frozen=True)
@@ -189,7 +312,7 @@ class RangeDistribution:
 
 def range_distribution(t: Tree, m: WalkModel) -> RangeDistribution:
     """Exact range distribution from one profile DP per bound k below the diameter."""
-    f = range_classes_to_diameter(reroot(t, 0), t.diameter(), m)
+    f = range_classes_to_diameter(t.rooted, t.diameter(), m)
     return RangeDistribution(t.n, m, tuple(f))
 
 

@@ -18,7 +18,7 @@ from .counting import (
     endpoint_difference_distribution,
     range_distribution,
 )
-from .trees import RootedTree, Tree, reroot
+from .trees import RootedTree, Tree
 
 # Labels the estimators draw at once: SAMPLE_LABELS // n walks of n labels
 # (at least one walk), whatever the sample count. The seeded stream does not
@@ -119,7 +119,7 @@ def estimate_expected_range(
     """Monte Carlo E[Range] with the exact value attached for cross-check."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    sampler = WalkSampler(reroot(t, 0), m, seed)
+    sampler = WalkSampler(t.rooted, m, seed)  # the rooting range_distribution reads
     ranges = _per_walk(sampler, samples, lambda x: x.max(axis=1) - x.min(axis=1))
     exact = range_distribution(t, m).expected_range()
     return _mean_report("expected_range", ranges, exact, seed)
@@ -131,7 +131,7 @@ def estimate_pair_distance(
     """Monte Carlo E|f(u) - f(v)| with the exact value attached."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    sampler = WalkSampler(reroot(t, 0), m, seed)
+    sampler = WalkSampler(t.rooted, m, seed)
     diffs = _per_walk(sampler, samples, lambda x: np.abs(x[:, u] - x[:, v]))
     dist = endpoint_difference_distribution(t, u, v, m)
     exact = sum((abs(x) * p for x, p in dist.items()), Fraction(0))

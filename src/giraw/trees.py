@@ -1,8 +1,9 @@
 """Tree representation, parsing, constructors, and free-tree generation.
 
 Trees use dense 0-based vertex ids so downstream dynamic programming can be
-array-indexed. Trees are immutable after construction; only the subtree table
-their batch shares grows.
+array-indexed. Trees are immutable after construction; a tree keeps what it
+derives from its edges (adjacency, a longest path, its rooting at vertex 0),
+and only the subtree table its batch shares grows.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class Tree:
                     order.append(w)
         return order, parent
 
+    @cached_property
     def _longest_path(self) -> list[int]:
         """A longest path, end to end: from the farthest vertex from 0 to the farthest from it."""
         order, parent = self._walk(self._walk(0)[0][-1])
@@ -111,7 +113,7 @@ class Tree:
 
     def _centres(self) -> set[int]:
         """The vertices of least eccentricity: the middle one or two of any longest path."""
-        path = self._longest_path()
+        path = self._longest_path
         return {path[len(path) // 2], path[(len(path) - 1) // 2]}
 
     @cached_property
@@ -122,6 +124,11 @@ class Tree:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(map(tuple, adj))
+
+    @cached_property
+    def rooted(self) -> RootedTree:
+        """This tree oriented away from vertex 0, built once: the DPs and the sampler read it."""
+        return reroot(self, 0)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -142,7 +149,8 @@ class Tree:
         return d
 
     def diameter(self) -> int:
-        return len(self._longest_path()) - 1
+        """Edges on a longest path, found once per tree."""
+        return len(self._longest_path) - 1
 
     def is_spider(self) -> bool:
         """At most one vertex of degree greater than 2. Paths count."""
@@ -233,7 +241,7 @@ def make_path(a: int) -> RootedTree:
     if a < 0:
         raise TreeError(f"path length must be >= 0, got {a}")
     edges = tuple((i, i + 1) for i in range(a))
-    return reroot(Tree(n=a + 1, edges=edges), 0)
+    return Tree(n=a + 1, edges=edges).rooted
 
 
 def make_spider(legs: list[int]) -> RootedTree:
@@ -250,7 +258,7 @@ def make_spider(legs: list[int]) -> RootedTree:
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return reroot(Tree(n=nxt, edges=tuple(edges)), 0)
+    return Tree(n=nxt, edges=tuple(edges)).rooted
 
 
 def make_star(leaves: int) -> RootedTree:
@@ -361,22 +369,6 @@ def level_tree(levels: list[int], shared: SharedSubtrees | None = None) -> Roote
     edges = tuple((v, c) for v, kids in enumerate(children) for c in kids)
     tree = Tree._unchecked(n, edges, shared)
     return RootedTree(tree, 0, tuple(map(tuple, children)))
-
-
-def centre_diameter(levels: list[int]) -> int:
-    """Diameter of a tree from its level sequence rooted at a centre.
-
-    Every longest path passes through each centre, so the diameter is the
-    sum of the heights of the two tallest branches under the root.
-    """
-    heights: list[int] = []  # height of each root branch, in order
-    for d in levels[1:]:
-        if d == 1:
-            heights.append(1)
-        elif d > heights[-1]:
-            heights[-1] = d
-    heights.sort()
-    return sum(heights[-2:])
 
 
 def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:

@@ -26,6 +26,7 @@ from giraw.analysis import (
 )
 from giraw.counting import WalkModel, range_distribution
 from giraw.trees import (
+    FREE_TREE_COUNTS,
     Tree,
     TreeError,
     generate_free_trees,
@@ -246,7 +247,7 @@ class TestScanShards:
             release.set()
             other.join(30)
         assert not other.is_alive()
-        assert result.trees_checked == 1301 and forks == []
+        assert result.trees_checked == FREE_TREE_COUNTS[analysis.SHARD_MIN_N - 1] and forks == []
 
     @linux_only
     def test_affinity_is_restored(self, monkeypatch):
@@ -289,7 +290,7 @@ class TestScanShards:
             "os.fork = lambda: forks.append(1) or fork()\n"
             "print(scan_against_path(SHARD_MIN_N, WalkModel.LAZY).trees_checked, len(forks))\n"
         )
-        assert out == "1301 0\n"
+        assert out == f"{FREE_TREE_COUNTS[analysis.SHARD_MIN_N - 1]} 0\n"
 
 
 class TestDominationOrder:
@@ -318,6 +319,8 @@ class TestDominationOrder:
                 assert order.dominators_of(i) == expect
 
     def test_one_f_vector_per_tree(self, monkeypatch):
+        # order reads the scan engine's f vectors: no tree is rooted, walked
+        # for its diameter or given a profile DP or a distribution
         calls = Counter()
 
         def counted(name, fn):
@@ -327,12 +330,16 @@ class TestDominationOrder:
 
             return wrapper
 
-        for name in ("range_classes_to_diameter", "range_distribution", "reroot"):
+        for name in ("range_classes_to_diameter", "range_distribution", "reroot", "profile"):
             monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
         monkeypatch.setattr(Tree, "diameter", counted("diameter", Tree.diameter))
+        fs = analysis._f_vectors
+        monkeypatch.setattr(
+            analysis, "_f_vectors", lambda *a: (calls.update("f") or v for v in fs(*a))
+        )
         order = pairwise_domination_order(10, STANDARD)
         assert len(order.trees) == 106
-        assert calls == {"range_classes_to_diameter": 106}
+        assert calls == {"f": 106}
 
     @pytest.mark.parametrize("m", BOTH)
     def test_relation_matches_the_walk_enumeration(self, m):

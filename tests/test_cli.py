@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from giraw import analysis, counting
 from giraw.cli import load_tree, main
-from giraw.trees import TreeError, make_path, make_spider, make_star
+from giraw.trees import Tree, TreeError, make_path, make_spider, make_star
 
 from fresh import SRC, run_python
 
@@ -158,8 +158,10 @@ class TestCount:
 
     @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3]), (5, [5]), (9, [5])])
     def test_one_dp_per_bound_used(self, runner, monkeypatch, k, dps):
-        calls, profile = [], counting.profile
-        monkeypatch.setattr(counting, "profile", lambda t, k, m: calls.append(k) or profile(t, k, m))
+        calls, dp = [], counting._half_profile
+        monkeypatch.setattr(
+            counting, "_half_profile", lambda t, k, m: calls.append(k) or dp(t, k, m)
+        )
         res = runner.invoke(main, ["count", "--tree", "spider:3,2,2", "--k", str(k)])
         assert res.exit_code == 0
         assert calls == dps
@@ -177,6 +179,15 @@ class TestCount:
     def test_negative_k_names_the_option(self, runner):
         res = runner.invoke(main, ["count", "--tree", "path:3", "--k", "-1"])
         assert (res.exit_code, res.output) == (1, "Error: --k must be >= 0, got -1\n")
+
+    def test_the_tree_is_walked_for_its_diameter_once(self, runner, monkeypatch):
+        # past the diameter both the command and count_bounded read it:
+        # one walk to validate the path, one to root it, two for the diameter
+        walks, walk = [], Tree._walk
+        monkeypatch.setattr(Tree, "_walk", lambda t, root: walks.append(root) or walk(t, root))
+        res = runner.invoke(main, ["count", "--tree", "path:30", "--k", "40"])
+        assert res.exit_code == 0
+        assert len(walks) == 4
 
     def test_k_defaults_to_diameter(self, runner):
         res = runner.invoke(main, ["count", "--tree", "star:3"])

@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 
 from giraw import analysis, counting
 from giraw.counting import (
+    RootBranches,
     WalkModel,
     bounded_counts,
+    centre_diameter,
     count_bounded,
     endpoint_difference_distribution,
     f_start_count,
+    is_spider,
     path_profile,
     profile,
     range_classes,
     range_classes_from,
+    range_classes_to_diameter,
     range_distribution,
     transfer,
 )
@@ -24,7 +28,6 @@ from giraw.trees import (
     FREE_TREE_COUNTS,
     SharedSubtrees,
     Tree,
-    centre_diameter,
     free_level_sequences,
     generate_free_trees,
     level_tree,
@@ -127,6 +130,32 @@ def count_band_steps(monkeypatch) -> list:
     return steps
 
 
+def engine_tables(monkeypatch) -> list:
+    """A list that grows by the RootBranches table of every scan shard, in order."""
+    tables, make = [], analysis.RootBranches
+    monkeypatch.setattr(
+        analysis, "RootBranches", lambda n, m: tables.append(make(n, m)) or tables[-1]
+    )
+    return tables
+
+
+def pushes(n: int, key: bytes) -> int:
+    """Bounds k at which RootBranches pushes the branch class of key: k < n - 1 - size + height.
+
+    A longest path meets the branch in at most its height of its size
+    vertices, so no tree on n vertices that holds it reads a larger k.
+    """
+    return n - 1 - (len(key) + 1) + max(key, default=1)
+
+
+def path_steps(n: int, m: WalkModel) -> int:
+    """Band steps of the path's f vector, which a scan computes once."""
+    with pytest.MonkeyPatch.context() as mp:
+        steps = count_band_steps(mp)
+        range_classes_to_diameter(make_path(n - 1), n - 1, m)
+    return len(steps)
+
+
 def full_width_push(row: list[int], a: int, m: WalkModel) -> list[int]:
     """row pushed across a edges by full-width band steps."""
     for _ in range(a):
@@ -144,14 +173,21 @@ class TestHalfProfiles:
                     assert transfer(a, k, m) == [full_width_push(r, a, m) for r in identity]
 
     @pytest.mark.parametrize("m", BOTH)
-    def test_the_memo_stores_half_profiles(self, monkeypatch, m):
-        rooted, prof = [], counting.profile
-        monkeypatch.setattr(counting, "profile", lambda t, k, m: rooted.append(t) or prof(t, k, m))
-        analysis.scan_against_path(10, m)
-        memo = rooted[-1].tree.shared.profiles
-        assert memo_entries(rooted[-1].tree) > 0
-        for (k, _), pushed in memo.items():
+    def test_the_memo_stores_half_profiles(self, m):
+        # the batch memo of profile and the scan engine's rows both hold
+        # F_0..F_(k//2) at each bound k
+        trees = list(generate_free_trees(10))
+        for t in trees:
+            for k in range(t.diameter()):
+                profile(reroot(t, 0), k, m)
+        assert memo_entries(trees[0]) > 0
+        for (k, _), pushed in trees[0].shared.profiles.items():
             assert {len(p) for p in pushed.values()} <= {k // 2 + 1}
+        table = RootBranches(10, m)
+        for levels in free_level_sequences(10):
+            table.split(levels)
+        for key, b in table.items():
+            assert len(b.rows) == sum(k // 2 + 1 for k in range(pushes(10, key)))
 
 
 class TestSharedProfiles:
@@ -173,15 +209,13 @@ class TestSharedProfiles:
         path = make_path(200).tree
         range_distribution(path, STANDARD)
         assert path.shared is None
-        rooted, prof = [], counting.profile
-        monkeypatch.setattr(counting, "profile", lambda t, k, m: rooted.append(t) or prof(t, k, m))
-        steps = count_band_steps(monkeypatch)
+        # the scan interns root branches, and most of the branches it meets
+        # are classes it has met before
+        tables = engine_tables(monkeypatch)
         analysis.scan_against_path(10, STANDARD)
-        # the last call is on a generated tree; each band step is one edge of
-        # the DP, so without shared profiles the scan would take one per edge
-        # of every profile call
-        assert memo_entries(rooted[-1].tree) > 0
-        assert len(steps) < sum(t.n - 1 for t in rooted) / 2
+        (table,) = tables
+        sightings = sum(levels.count(1) for levels in free_level_sequences(10))
+        assert 0 < len(table) < sightings / 4
 
     def test_a_scan_does_the_same_work_after_other_scans(self, monkeypatch):
         steps = count_band_steps(monkeypatch)
@@ -193,13 +227,13 @@ class TestSharedProfiles:
         assert len(steps) == alone
 
     def test_a_shared_subtree_crosses_its_edge_once(self, monkeypatch):
-        # the memo holds edge-pushed profiles, so a memo hit needs no band
-        # step: the scan makes fewer band steps than profile calls
-        calls, prof = [], counting.profile
-        monkeypatch.setattr(counting, "profile", lambda t, k, m: calls.append(k) or prof(t, k, m))
-        steps = count_band_steps(monkeypatch)
-        analysis.scan_against_path(10, STANDARD)
-        assert len(steps) < len(calls)
+        # a class is pushed across its top edge once per bound k it is read
+        # at, however many trees and branches it sits in
+        steps, tables = count_band_steps(monkeypatch), engine_tables(monkeypatch)
+        fs = list(analysis._f_vectors(10, STANDARD, "all", 0, 1))
+        (table,) = tables
+        assert len(fs) == FREE_TREE_COUNTS[10 - 1]
+        assert len(steps) == sum(pushes(10, key) for key in table)
 
     def test_shared_batch_matches_private_trees(self):
         shared = SharedSubtrees()
@@ -214,31 +248,30 @@ class TestSharedProfiles:
 
     @pytest.mark.parametrize("m", BOTH)
     def test_a_batch_pushes_each_class_once(self, monkeypatch, m):
-        # one band step per memo entry: every class below a root is pushed
-        # once per bound and model, and no root is stored
-        steps, prof, batches = count_band_steps(monkeypatch), counting.profile, {}
-
-        def batch_steps_only(t, k, m):
-            before = len(steps)
-            out = prof(t, k, m)
-            if t.tree.shared is None:  # the path, in no batch
-                del steps[before:]
-            else:
-                batches[id(t.tree.shared)] = t.tree
-            return out
-
-        monkeypatch.setattr(counting, "profile", batch_steps_only)
-        analysis.scan_against_path(12, m)  # below the shard threshold: one batch
-        (tree,) = batches.values()
-        assert memo_entries(tree) == len(steps) > 0
+        # one band step per (branch class, k it is read at) in each shard,
+        # besides the path's own DPs; two shards intern their classes apart
+        n, path = 12, path_steps(12, m)
+        steps, tables = count_band_steps(monkeypatch), engine_tables(monkeypatch)
+        monkeypatch.setattr(analysis, "_scan_workers", lambda n: 2)
+        monkeypatch.setattr(analysis, "_run_forked", lambda shard, w: [shard(i) for i in range(w)])
+        analysis.scan_against_path(n, m)
+        assert len(tables) == 2
+        assert len(steps) == sum(pushes(n, key) for t in tables for key in t) + path
 
     def test_a_scanned_batch_interns_no_root(self, monkeypatch):
-        # fewer classes than trees, so no tree's root class is in the table
-        rooted, prof = [], counting.profile
-        monkeypatch.setattr(counting, "profile", lambda t, k, m: rooted.append(t) or prof(t, k, m))
+        # the table holds exactly the subtrees below the roots, each keyed by
+        # the depths below its top counted from a top at depth 1
+        tables = engine_tables(monkeypatch)
         analysis.scan_against_path(12, STANDARD)
-        batch = rooted[-1].tree.shared
-        assert len(batch.ids) < FREE_TREE_COUNTS[12 - 1]
+        (table,) = tables
+        below = set()
+        for levels in free_level_sequences(12):
+            for v in range(1, len(levels)):
+                d = levels[v]
+                end = next((w for w in range(v + 1, len(levels)) if levels[w] <= d), len(levels))
+                below.add(bytes(x - d + 1 for x in levels[v + 1 : end]))
+        assert set(table) == below
+        assert len(table) < FREE_TREE_COUNTS[12 - 1]
 
     def test_same_class_siblings_are_pushed_once(self, monkeypatch):
         steps = count_band_steps(monkeypatch)
@@ -275,6 +308,33 @@ class TestSharedProfiles:
             "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
         )
         assert int(peak.split()[1]) < 50 * 1024  # kB
+
+
+class TestRootBranches:
+    @pytest.mark.parametrize("m", BOTH)
+    def test_matches_the_per_tree_dp(self, m):
+        # every tree up to 13 vertices: the engine's diameter against the BFS
+        # one, its f vector against the profile DPs of the level tree, and
+        # its spider test against the degrees
+        for n in range(1, 14):
+            table = RootBranches(n, m)
+            for levels in free_level_sequences(n):
+                rt = level_tree(levels)
+                branches = table.split(levels)
+                d = centre_diameter(branches)
+                assert d == rt.tree.diameter()
+                f = range_classes_to_diameter(rt, d, m)
+                assert table.f_vector(branches, d) == [*f, *f[-1:] * (n - len(f))]
+                assert is_spider(branches) == rt.tree.is_spider()
+
+    def test_a_branch_met_deeper_is_one_class(self):
+        # an edge below a branch's top hangs from the root in the first tree
+        # and one level down in the second: both are the key b"\x02"
+        table = RootBranches(5, STANDARD)
+        table.split([0, 1, 2])
+        assert set(table) == {b"", b"\x02"}
+        table.split([0, 1, 2, 3, 1])
+        assert set(table) == {b"", b"\x02", b"\x02\x03"}
 
 
 class TestCounts:
@@ -317,8 +377,10 @@ class TestCounts:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_count_past_the_diameter_runs_one_dp_at_it(self, monkeypatch):
-        calls, prof = [], counting.profile
-        monkeypatch.setattr(counting, "profile", lambda t, k, m: calls.append(k) or prof(t, k, m))
+        calls, dp = [], counting._half_profile
+        monkeypatch.setattr(
+            counting, "_half_profile", lambda t, k, m: calls.append(k) or dp(t, k, m)
+        )
         t = make_path(3).tree
         assert count_bounded(t, 20_000_000, STANDARD) == 159_999_992
         assert calls == [3]
@@ -390,13 +452,13 @@ class TestRangeDistribution:
         assert sum(d.class_counts.values()) == d.denominator
 
     def test_one_profile_dp_per_bound(self, monkeypatch):
-        calls = []
+        calls, dp = [], counting._half_profile
 
         def counted(rt, k, m):
             calls.append(k)
-            return profile(rt, k, m)
+            return dp(rt, k, m)
 
-        monkeypatch.setattr(counting, "profile", counted)
+        monkeypatch.setattr(counting, "_half_profile", counted)
         for t in [make_path(6).tree, make_star(5).tree, make_spider([3, 2, 2]).tree]:
             calls.clear()
             range_distribution(t, LAZY)
@@ -404,11 +466,11 @@ class TestRangeDistribution:
 
     @pytest.mark.parametrize("m", BOTH)
     def test_level_sequence_classes_match_the_distribution(self, m):
-        # what the scan compares: f^j of the centre-rooted level tree, up to
-        # the diameter from its level sequence
+        # f^j of the centre-rooted level tree, which the scan's engine is
+        # tested against, equals the distribution's
         for n in range(1, 13):
             for levels, t in zip(free_level_sequences(n), generate_free_trees(n)):
-                d = centre_diameter(levels)
+                d = t.diameter()
                 f = range_classes_from(bounded_counts(level_tree(levels), range(-1, d + 1), m))
                 tails = range_distribution(t, m).tail_counts
                 assert f == [tails[0] - tails[j + 1] for j in range(d + 1)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from giraw import sampling
+from giraw import sampling, trees
 from giraw.counting import WalkModel, range_distribution
 from giraw.sampling import (
     WalkSampler,
@@ -13,7 +13,7 @@ from giraw.sampling import (
     estimate_expected_range,
     estimate_pair_distance,
 )
-from giraw.trees import make_path, make_spider, make_star, reroot
+from giraw.trees import Tree, make_path, make_spider, make_star, reroot
 
 from fresh import run_python
 
@@ -153,6 +153,13 @@ def test_seeded_reports_are_pinned(stat, rt, m, uv, samples, seed, estimate, std
 
 
 class TestEstimates:
+    def test_the_sampler_and_the_exact_value_root_the_tree_once(self, monkeypatch):
+        calls, reroot_at = [], trees.reroot
+        monkeypatch.setattr(trees, "reroot", lambda t, r: calls.append(r) or reroot_at(t, r))
+        t = Tree(4, ((0, 1), (1, 2), (1, 3)))
+        estimate_expected_range(t, STANDARD, 100, seed=0)
+        assert calls == [0]
+
     def test_expected_range_exact_values(self):
         rep = estimate_expected_range(make_path(2).tree, STANDARD, 1000, seed=0)
         assert rep.exact == Fraction(3, 2)
