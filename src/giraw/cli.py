@@ -193,7 +193,7 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
     if k < 0:
         raise click.ClickException(f"--k must be >= 0, got {k}")
     if k < d:
-        bounded = bounded_counts(t.rooted, range(k - 1, k + 1), m)  # F^(k-1), F^k
+        bounded = bounded_counts(t.centred, range(k - 1, k + 1), m)  # F^(k-1), F^k
         labelings, classes = bounded[1], range_classes_from(bounded)[0]
     else:  # f^j is the whole walk space s^(n-1) from j = D on
         labelings, classes = count_bounded(t, k, m), m.steps_per_edge ** (t.n - 1)

@@ -77,22 +77,45 @@ def _half_profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     class below the root that the memo lacks once, however many vertices
     have it, stores it, and then multiplies the root's children. The root's
     profile is never pushed or stored.
+
+    The one-wall rule: labels below a class of height h (in edges from its
+    parent) lie within h of the parent's label i, so once k - k//2 >= h no
+    stored label i <= k//2 reaches the upper wall k, and the pushed half
+    profile is Q_0..Q_(k//2), where Q_i counts the labellings with the lower
+    wall 0 alone. Q_i is the constant s^size for i >= h, so the DP keeps
+    Q_0..Q_h, the class's wall, from the first bound it pushes the class at
+    that has the rule (the tree's walls, or its batch's, per model), and at
+    every such bound after that it copies a prefix of the wall, extended by
+    Q_h, without pushing the class or visiting anything below it.
     """
-    h = k // 2 + 1
-    mirror = k - h  # the stored label that mirrors label h; -1 for k = 0
-    ids, shared = t.class_ids, t.tree.shared
+    width = k // 2 + 1
+    mirror = k - width  # the stored label that mirrors label k//2 + 1; -1 for k = 0
+    ids, heights, shared = t.class_ids, t.heights, t.tree.shared
     pushed = {} if shared is None else shared.profiles.setdefault((k, m), {})
+    walls = (t.walls if shared is None else shared.walls).setdefault(m, {})
+    reach = k - k // 2  # the greatest class height that leaves the upper wall out of reach
     first: dict[int, int] = {}  # each class missing from the memo -> its first vertex
     stack = [t.root]
     while stack:
         for c in t.children[stack.pop()]:
-            if ids[c] not in pushed and ids[c] not in first:
-                first[ids[c]] = c
+            cls = ids[c]
+            if cls in pushed or cls in first:
+                continue
+            if heights[c] < reach and cls in walls:
+                wall = walls[cls]
+                pushed[cls] = wall[:width] + wall[-1:] * (width - len(wall))
+            else:
+                first[cls] = c
                 stack.append(c)
     for cls in sorted(first):  # a class id exceeds its children's: children first
-        prof = _children_product(t, first[cls], pushed, h)
-        pushed[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
-    return _children_product(t, t.root, pushed, h)
+        v = first[cls]
+        prof = _children_product(t, v, pushed, width)
+        row = pushed[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
+        if heights[v] < reach:
+            # label k//2 >= heights[v] is out of every child's reach, so
+            # prof[-1] is s^(size - 1) and Q_h is s^size
+            walls[cls] = [*row[: heights[v] + 1], m.steps_per_edge * prof[-1]]
+    return _children_product(t, t.root, pushed, width)
 
 
 def _children_product(t: RootedTree, v: int, pushed: dict[int, list[int]], h: int) -> list[int]:
@@ -125,7 +148,7 @@ def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
     F^k = F^D + (k - D) s^(n-1) takes one DP, at D.
     """
     top = min(k, t.diameter())
-    (at_top,) = bounded_counts(t.rooted, range(top, top + 1), m)
+    (at_top,) = bounded_counts(t.centred, range(top, top + 1), m)
     return at_top + (k - top) * m.steps_per_edge ** (t.n - 1)
 
 
@@ -162,7 +185,7 @@ def range_classes(t: Tree, k: int, m: WalkModel) -> int:
         raise ValueError(f"label bound must be >= 0, got {k}")
     if k >= t.diameter():  # no walk has a range above the diameter
         return m.steps_per_edge ** (t.n - 1)
-    return range_classes_from(bounded_counts(t.rooted, range(k - 1, k + 1), m))[0]
+    return range_classes_from(bounded_counts(t.centred, range(k - 1, k + 1), m))[0]
 
 
 class Branch(NamedTuple):
@@ -312,7 +335,7 @@ class RangeDistribution:
 
 def range_distribution(t: Tree, m: WalkModel) -> RangeDistribution:
     """Exact range distribution from one profile DP per bound k below the diameter."""
-    f = range_classes_to_diameter(t.rooted, t.diameter(), m)
+    f = range_classes_to_diameter(t.centred, t.diameter(), m)
     return RangeDistribution(t.n, m, tuple(f))
 
 

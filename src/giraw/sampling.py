@@ -119,7 +119,7 @@ def estimate_expected_range(
     """Monte Carlo E[Range] with the exact value attached for cross-check."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    sampler = WalkSampler(t.rooted, m, seed)  # the rooting range_distribution reads
+    sampler = WalkSampler(t.rooted, m, seed)  # at vertex 0, which the seeded streams keep
     ranges = _per_walk(sampler, samples, lambda x: x.max(axis=1) - x.min(axis=1))
     exact = range_distribution(t, m).expected_range()
     return _mean_report("expected_range", ranges, exact, seed)

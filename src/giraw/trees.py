@@ -2,8 +2,8 @@
 
 Trees use dense 0-based vertex ids so downstream dynamic programming can be
 array-indexed. Trees are immutable after construction; a tree keeps what it
-derives from its edges (adjacency, a longest path, its rooting at vertex 0),
-and only the subtree table its batch shares grows.
+derives from its edges (adjacency, a longest path, its rootings at vertex 0
+and at a centre), and only the subtree table its batch shares grows.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ class SharedSubtrees:
 
     ids maps the sorted tuple of a vertex's children's class ids to the class
     id of its subtree; profiles is the memo of edge-pushed profiles that
-    counting.profile keeps, one per class below a root, bound and model.
+    counting.profile keeps, one per class below a root, bound and model, and
+    walls the one-wall rows it keeps, one per class and model.
     """
 
     ids: dict[tuple[int, ...], int] = field(default_factory=dict)
     profiles: dict = field(default_factory=dict)
+    walls: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,8 @@ class Tree:
     """Undirected tree on vertices 0..n-1, stored as an edge list.
 
     shared is the subtree table of the tree's batch, or None for a tree in
-    no batch, which keeps no class ids or profiles between calls.
+    no batch, which keeps no profiles between calls, only the one-wall rows
+    of its rootings (RootedTree.walls).
     """
 
     n: int
@@ -72,7 +75,7 @@ class Tree:
                 raise TreeError(f"duplicate edge ({u}, {v})")
             seen.add(key)
         # n-1 distinct edges on n vertices form a tree iff the graph is connected
-        if len(self._walk(0)[0]) != self.n:
+        if len(self._walk_from_0[0]) != self.n:
             raise TreeError("graph is not connected")
 
     @classmethod
@@ -103,9 +106,14 @@ class Tree:
         return order, parent
 
     @cached_property
+    def _walk_from_0(self) -> tuple[list[int], list[int]]:
+        """The walk from vertex 0, made once: validation, the rooting at 0 and the longest path read it."""
+        return self._walk(0)
+
+    @cached_property
     def _longest_path(self) -> list[int]:
         """A longest path, end to end: from the farthest vertex from 0 to the farthest from it."""
-        order, parent = self._walk(self._walk(0)[0][-1])
+        order, parent = self._walk(self._walk_from_0[0][-1])
         path = [order[-1]]
         while parent[path[-1]] >= 0:
             path.append(parent[path[-1]])
@@ -127,8 +135,19 @@ class Tree:
 
     @cached_property
     def rooted(self) -> RootedTree:
-        """This tree oriented away from vertex 0, built once: the DPs and the sampler read it."""
+        """This tree oriented away from vertex 0, built once: the sampler reads it."""
         return reroot(self, 0)
+
+    @cached_property
+    def centred(self) -> RootedTree:
+        """This tree oriented away from a centre, built once: the exact DPs read it.
+
+        At a centre every branch is at most half the diameter high, so the
+        DP's one-wall rows (counting._half_profile) take over soonest, and a
+        path's two arms are one class.
+        """
+        path = self._longest_path
+        return reroot(self, path[len(path) // 2])
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -171,15 +190,28 @@ class Tree:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Tree with an orientation away from a chosen root."""
+    """Tree with an orientation away from a chosen root.
+
+    walls holds the one-wall rows of counting._half_profile for a tree in no
+    batch, one per class and model; a batch keeps them in its SharedSubtrees.
+    """
 
     tree: Tree
     root: int
     children: tuple[tuple[int, ...], ...] = field(compare=False)
+    walls: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.tree.n
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """Edges from every vertex down to its deepest descendant."""
+        heights = [0] * self.n
+        for v in self.postorder():  # children first
+            heights[v] = max([heights[c] + 1 for c in self.children[v]], default=0)
+        return tuple(heights)
 
     @cached_property
     def class_ids(self) -> tuple[int, ...]:
@@ -228,7 +260,7 @@ def reroot(t: Tree, root: int) -> RootedTree:
     if not (0 <= root < t.n):
         raise TreeError(f"root {root} out of range for n={t.n}")
     children = []
-    for adj, p in zip(t.adjacency, t._walk(root)[1]):
+    for adj, p in zip(t.adjacency, (t._walk_from_0 if root == 0 else t._walk(root))[1]):
         if p >= 0:  # every neighbour but the parent, in adjacency order
             i = adj.index(p)
             adj = adj[:i] + adj[i + 1:]

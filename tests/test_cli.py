@@ -148,6 +148,23 @@ class TestDist:
         res = runner.invoke(main, ["dist", "--tree", str(f)])
         assert_one_line_error(res, f"Error: {f}: ")
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["path:200"], "83b029d7e2fab5a23913ea68cb5d4c08d6b5cae12f26d53af9efedb13585ede0"),
+            (
+                ["path:160", "--model", "lazy"],
+                "0cb763dd77757b61ac68581c1327894bc4f60204fd3333c5448c63c2caed239c",
+            ),
+        ],
+    )
+    def test_deep_paths_are_pinned(self, runner, args, digest):
+        # the benchmark's deep paths, byte for byte, as the endpoint-rooted
+        # DP that pushes every class at every bound prints them
+        res = runner.invoke(main, ["dist", "--tree", *args])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
 
 class TestCount:
     def test_values(self, runner):
@@ -158,13 +175,14 @@ class TestCount:
 
     @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3]), (5, [5]), (9, [5])])
     def test_one_dp_per_bound_used(self, runner, monkeypatch, k, dps):
+        # each at the centre of the diameter-5 spider, on its leg of length 3
         calls, dp = [], counting._half_profile
         monkeypatch.setattr(
-            counting, "_half_profile", lambda t, k, m: calls.append(k) or dp(t, k, m)
+            counting, "_half_profile", lambda t, k, m: calls.append((t.root, k)) or dp(t, k, m)
         )
         res = runner.invoke(main, ["count", "--tree", "spider:3,2,2", "--k", str(k)])
         assert res.exit_code == 0
-        assert calls == dps
+        assert calls == [(1, k) for k in dps]
 
     @pytest.mark.parametrize("m", ["standard", "lazy"])
     def test_k_past_the_diameter_matches_the_direct_dp(self, runner, m):
@@ -181,13 +199,15 @@ class TestCount:
         assert (res.exit_code, res.output) == (1, "Error: --k must be >= 0, got -1\n")
 
     def test_the_tree_is_walked_for_its_diameter_once(self, runner, monkeypatch):
-        # past the diameter both the command and count_bounded read it:
-        # one walk to validate the path, one to root it, two for the diameter
+        # past the diameter both the command and count_bounded read it: the
+        # walk from 0 validates the path, roots it at 0 and finds one end of
+        # a longest path, one walk from that end finds the other, and one
+        # roots the path at its centre for the DP
         walks, walk = [], Tree._walk
         monkeypatch.setattr(Tree, "_walk", lambda t, root: walks.append(root) or walk(t, root))
         res = runner.invoke(main, ["count", "--tree", "path:30", "--k", "40"])
         assert res.exit_code == 0
-        assert len(walks) == 4
+        assert walks == [0, 30, 15]
 
     def test_k_defaults_to_diameter(self, runner):
         res = runner.invoke(main, ["count", "--tree", "star:3"])

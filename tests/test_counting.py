@@ -152,7 +152,7 @@ def path_steps(n: int, m: WalkModel) -> int:
     """Band steps of the path's f vector, which a scan computes once."""
     with pytest.MonkeyPatch.context() as mp:
         steps = count_band_steps(mp)
-        range_classes_to_diameter(make_path(n - 1), n - 1, m)
+        range_classes_to_diameter(make_path(n - 1).tree.centred, n - 1, m)
     return len(steps)
 
 
@@ -310,6 +310,42 @@ class TestSharedProfiles:
         assert int(peak.split()[1]) < 50 * 1024  # kB
 
 
+class TestOneWallRows:
+    @pytest.mark.parametrize("m", BOTH)
+    def test_every_rooting_matches_the_engine(self, m):
+        # the DP with one-wall rows, at every root of every tree up to 10
+        # vertices, in the trees' batch (whose walls later roots and smaller
+        # bounds meet) and alone, against the root-branch engine, which
+        # pushes every class at every bound
+        for n in range(1, 11):
+            table = RootBranches(n, m)
+            for levels, t in zip(free_level_sequences(n), generate_free_trees(n)):
+                d = t.diameter()
+                want = table.f_vector(table.split(levels), d)[: d + 1]
+                for r in range(n):
+                    for rt in reroot(t, r), reroot(Tree(t.n, t.edges), r):
+                        f = range_classes_from(bounded_counts(rt, range(-1, d + 1), m))
+                        assert f == want
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_every_rooting_matches_walk_enumeration(self, m):
+        for n in range(1, 8):
+            for t in generate_free_trees(n):
+                d = t.diameter()
+                want = [oracle_F(t, k, m) for k in range(d + 1)]
+                for r in range(n):
+                    assert bounded_counts(reroot(t, r), range(d + 1), m) == want
+
+    def test_a_wall_is_kept_per_class_and_model(self):
+        # Q_0..Q_h of each arm of the centred path 0-1-2-3-4: labellings of
+        # the arm below its parent's label i with the lower wall alone
+        rt = make_path(4).tree.centred
+        range_distribution(rt.tree, STANDARD)
+        range_distribution(rt.tree, LAZY)
+        walls = {m: sorted(w.values()) for m, w in rt.walls.items()}
+        assert walls == {STANDARD: [[1, 2], [2, 3, 4]], LAZY: [[2, 3], [5, 8, 9]]}
+
+
 class TestRootBranches:
     @pytest.mark.parametrize("m", BOTH)
     def test_matches_the_per_tree_dp(self, m):
@@ -377,13 +413,14 @@ class TestCounts:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_count_past_the_diameter_runs_one_dp_at_it(self, monkeypatch):
+        # rooted at the centre, vertex 2 of the longest path 0-1-2-3
         calls, dp = [], counting._half_profile
         monkeypatch.setattr(
-            counting, "_half_profile", lambda t, k, m: calls.append(k) or dp(t, k, m)
+            counting, "_half_profile", lambda t, k, m: calls.append((t.root, k)) or dp(t, k, m)
         )
         t = make_path(3).tree
         assert count_bounded(t, 20_000_000, STANDARD) == 159_999_992
-        assert calls == [3]
+        assert calls == [(2, 3)]
 
     def test_k_past_the_diameter_runs_no_dp(self, monkeypatch):
         steps = count_band_steps(monkeypatch)
@@ -436,10 +473,21 @@ class TestRangeDistribution:
         for a in range(9):
             want = {r: c for r, c in oracle_path_range_counts(a, m).items() if c}
             assert want == dict(oracle_range_counts(make_path(a).tree, m))
-        for a in range(61):
+        # up to the benchmark's deep paths, path:200 and path:160 lazy
+        for a in [*range(61), {STANDARD: 200, LAZY: 160}[m]]:
             assert range_distribution(make_path(a).tree, m).class_counts == (
                 oracle_path_range_counts(a, m)
             )
+
+    @pytest.mark.parametrize("m, a, steps", [(STANDARD, 200, 10_100), (LAZY, 160, 6_480)])
+    def test_a_deep_path_pushes_each_class_until_its_wall(self, monkeypatch, m, a, steps):
+        # rooted at its centre, the path's two arms are a/2 classes, heights
+        # 1..a/2; a class of height h is pushed at k = 0..2h - 1 and copied
+        # from its one-wall row after, so sum 2h band steps, not a^2 at the
+        # endpoint rooting (40,000 and 25,600)
+        counted = count_band_steps(monkeypatch)
+        range_distribution(make_path(a).tree, m)
+        assert len(counted) == steps == sum(2 * h for h in range(1, a // 2 + 1))
 
     @given(labeled_trees(9), st.sampled_from(BOTH))
     @settings(max_examples=60, deadline=None)
@@ -452,17 +500,22 @@ class TestRangeDistribution:
         assert sum(d.class_counts.values()) == d.denominator
 
     def test_one_profile_dp_per_bound(self, monkeypatch):
+        # every DP of a distribution roots the tree at one centre
         calls, dp = [], counting._half_profile
 
         def counted(rt, k, m):
-            calls.append(k)
+            calls.append((rt.root, k))
             return dp(rt, k, m)
 
         monkeypatch.setattr(counting, "_half_profile", counted)
-        for t in [make_path(6).tree, make_star(5).tree, make_spider([3, 2, 2]).tree]:
+        for t, centre in [
+            (make_path(6).tree, 3),
+            (make_star(5).tree, 0),
+            (make_spider([3, 2, 2]).tree, 1),
+        ]:
             calls.clear()
             range_distribution(t, LAZY)
-            assert calls == list(range(t.diameter()))
+            assert calls == [(centre, k) for k in range(t.diameter())]
 
     @pytest.mark.parametrize("m", BOTH)
     def test_level_sequence_classes_match_the_distribution(self, m):

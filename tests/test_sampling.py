@@ -154,11 +154,14 @@ def test_seeded_reports_are_pinned(stat, rt, m, uv, samples, seed, estimate, std
 
 class TestEstimates:
     def test_the_sampler_and_the_exact_value_root_the_tree_once(self, monkeypatch):
+        # the sampler at vertex 0, which fixes the seeded stream, and the
+        # exact value at the centre, vertex 1
         calls, reroot_at = [], trees.reroot
         monkeypatch.setattr(trees, "reroot", lambda t, r: calls.append(r) or reroot_at(t, r))
         t = Tree(4, ((0, 1), (1, 2), (1, 3)))
         estimate_expected_range(t, STANDARD, 100, seed=0)
-        assert calls == [0]
+        estimate_expected_range(t, LAZY, 100, seed=0)
+        assert calls == [0, 1]
 
     def test_expected_range_exact_values(self):
         rep = estimate_expected_range(make_path(2).tree, STANDARD, 1000, seed=0)
