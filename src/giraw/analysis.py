@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, compress, count, islice
-from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, NoReturn
+from operator import itemgetter, le, lt, sub
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .counting import (
     RootBranches,
@@ -427,9 +427,48 @@ def check_spidersums(legs: list[int], k: int, m: WalkModel) -> LemmaCheckResult:
     )
 
 
+def _rises_to_centre(x: Sequence[int]) -> bool:
+    """Whether x_i <= x_j for all i < j <= k with i + j <= k, where k = len(x) - 1.
+
+    It holds iff x is nondecreasing on 0..k//2 and x_(k-j) <= x_j for every
+    j > k//2. Those steps and mirror pairs are pairs of the family, so they
+    are needed. They suffice: take i < j with i + j <= k. If j <= k//2, the
+    chain x_i <= ... <= x_j lies inside the nondecreasing half. Otherwise
+    i <= k - j <= k//2, so x_i <= x_(k-j) by that chain, and x_(k-j) <= x_j
+    is one mirror pair. No palindrome is assumed.
+
+    The family i < j <= k, i + j >= k, x_i >= x_j is this one for the
+    reversed sequence (x -> k - x maps each onto the other), so it holds iff
+    x is nonincreasing on ceil(k/2)..k and x_i >= x_(k-i) for every i < ceil(k/2).
+    """
+    k = len(x) - 1
+    half = k // 2
+    return all(map(le, x[:half], x[1 : half + 1])) and all(
+        map(le, reversed(x[: k - half]), x[half + 1 :])
+    )
+
+
+def _peaks_at_centre(x: Sequence[int]) -> bool:
+    """Whether x_i >= x_j whenever |i - k/2| <= |j - k/2|, where k = len(x) - 1.
+
+    These are the pairs of both families of _rises_to_centre, so it holds
+    iff x is a palindrome that is nondecreasing on 0..k//2. The mirror pairs
+    of the two families give x_(k-j) <= x_j and x_(k-j) >= x_j, hence the
+    palindrome. Mirroring i and j into 0..k//2 keeps their distances to k/2,
+    which leaves the nondecreasing half.
+    """
+    half = (len(x) - 1) // 2
+    return x == x[::-1] and all(map(le, x[:half], x[1 : half + 1]))
+
+
 def center_violations(rt: RootedTree, k: int, m: WalkModel) -> list[tuple[int, int]]:
-    """Pairs (i, j) with |i-k/2| <= |j-k/2| but F_i < F_j for this rooted tree."""
+    """Pairs (i, j) with |i-k/2| <= |j-k/2| but F_i < F_j for this rooted tree.
+
+    They are listed only for a profile that fails _peaks_at_centre.
+    """
     prof = profile(rt, k, m)
+    if _peaks_at_centre(prof):
+        return []
     bad = []
     for i in range(k + 1):
         for j in range(k + 1):
@@ -461,9 +500,10 @@ def check_center_monotone(
     cases = 0
     ces: list[tuple] = []
     for a in range(a_max + 1):
+        path = make_path(a)  # one rooting, and its walls, for every bound
         for k in range(k_max + 1):
             cases += 1
-            for i, j in center_violations(make_path(a), k, m):
+            for i, j in center_violations(path, k, m):
                 ces.append((f"path a={a}", k, i, j))
     if tree_n_max > 0:
         for label, rt in _all_rooted_trees(tree_n_max):
@@ -488,7 +528,17 @@ def _difference_violations(
         0 <= F_j^k - F_i^k <= F_j^(k+1) - F_i^(k+1)
     Above-center form (i < j <= k, i+j >= k):
         0 <= F_i^k - F_j^k <= F_(i+1)^(k+1) - F_(j+1)^(k+1)
+
+    The below-center form says that F^k and g = F^(k+1) - F^k on 0..k each
+    rise to the centre (_rises_to_centre), and the above-center form that
+    F^k and h_x = F^(k+1)_(x+1) - F^k_x each fall from it (_rises_to_centre
+    of the reversed sequence). For F^k the two together are _peaks_at_centre.
+    The pairs are listed only for a profile pair that fails one of the three.
     """
+    g = list(map(sub, prof_k1, prof_k))
+    h = list(map(sub, prof_k1[1:], prof_k))
+    if _peaks_at_centre(prof_k) and _rises_to_centre(g) and _rises_to_centre(h[::-1]):
+        return []
     bad = []
     for i in range(k + 1):
         for j in range(i + 1, k + 1):

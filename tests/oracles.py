@@ -146,3 +146,36 @@ def oracle_path_range_counts(a: int, m: WalkModel) -> dict[int, int]:
 
     f = [bounded(k) - bounded(k - 1) for k in range(a + 1)]
     return {r: b - c for r, (c, b) in enumerate(zip([0, *f], f))}
+
+
+def oracle_center_violations(prof: list[int]) -> list[tuple[int, int]]:
+    """Every pair (i, j) with |i - k/2| <= |j - k/2| and F_i < F_j, k = len(prof) - 1."""
+    k = len(prof) - 1
+    return [
+        (i, j)
+        for i in range(k + 1)
+        for j in range(k + 1)
+        if abs(2 * i - k) <= abs(2 * j - k) and prof[i] < prof[j]
+    ]
+
+
+def oracle_difference_violations(
+    label: str, prof_k: list[int], prof_k1: list[int], k: int
+) -> list[tuple]:
+    """Every failing pair of both difference-monotonicity families, pair by pair.
+
+    Below-center (i < j <= k, i+j <= k): 0 <= F_j^k - F_i^k <= F_j^(k+1) - F_i^(k+1).
+    Above-center (i < j <= k, i+j >= k): 0 <= F_i^k - F_j^k <= F_(i+1)^(k+1) - F_(j+1)^(k+1).
+    """
+    bad = []
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            if i + j <= k:
+                d0, d1 = prof_k[j] - prof_k[i], prof_k1[j] - prof_k1[i]
+                if not (0 <= d0 <= d1):
+                    bad.append((label, "below-center", k, i, j, d0, d1))
+            if i + j >= k:
+                d0, d1 = prof_k[i] - prof_k[j], prof_k1[i + 1] - prof_k1[j + 1]
+                if not (0 <= d0 <= d1):
+                    bad.append((label, "above-center", k, i, j, d0, d1))
+    return bad

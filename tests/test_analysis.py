@@ -1,10 +1,12 @@
 import operator
 import os
+import random
 import sys
 import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from giraw.analysis import (
     scan_against_path,
     spidersums_sides,
 )
-from giraw.counting import WalkModel, range_distribution
+from giraw.counting import WalkModel, profile, range_distribution
 from giraw.trees import (
     FREE_TREE_COUNTS,
     Tree,
@@ -38,7 +40,12 @@ from giraw.trees import (
 )
 
 from fresh import run_python
-from oracles import oracle_range_counts, tree_from_prufer
+from oracles import (
+    oracle_center_violations,
+    oracle_difference_violations,
+    oracle_range_counts,
+    tree_from_prufer,
+)
 
 STANDARD = WalkModel.STANDARD
 LAZY = WalkModel.LAZY
@@ -406,6 +413,36 @@ class TestSpidersums:
             spidersums_sides(legs, 4, STANDARD)
 
 
+def rising_palindrome(rng: random.Random, n: int) -> list[int]:
+    """A palindrome of length n that is nondecreasing up to its middle."""
+    half = list(accumulate(rng.randint(0, 2) for _ in range((n + 1) // 2)))
+    return half + half[: n // 2][::-1]
+
+
+def perturb(rng: random.Random, *seqs: list[int]) -> None:
+    """Move up to two entries of the sequences by one, in place."""
+    for _ in range(rng.randint(0, 2)):
+        seq = rng.choice(seqs)
+        seq[rng.randrange(len(seq))] += rng.choice((-1, 1))
+
+
+def random_profile_pair(rng: random.Random, k: int) -> tuple[list[int], list[int]]:
+    """F^k and F^(k+1): small random integers, or a palindrome F^k rising to
+    its middle and F^(k+1) = F^k + d with d one too, both perturbed."""
+    if rng.random() < 0.3:
+        return [rng.randint(0, 3) for _ in range(k + 1)], [rng.randint(0, 3) for _ in range(k + 2)]
+    v, d = rising_palindrome(rng, k + 1), rising_palindrome(rng, k + 1)
+    w = [a + b for a, b in zip(v, d)] + [v[0] + d[0]]
+    perturb(rng, v, w)
+    return v, w
+
+
+def listed_centre_violations(prof: list[int]) -> list[tuple[int, int]]:
+    """center_violations for a given profile, through the library's rule."""
+    with mock.patch.object(analysis, "profile", return_value=prof):
+        return center_violations(None, len(prof) - 1, LAZY)
+
+
 class TestCenterMonotone:
     def test_standard_paths(self):
         assert check_center_monotone(6, 6, STANDARD).ok
@@ -421,6 +458,50 @@ class TestCenterMonotone:
     def test_standard_tree_level_check_finds_the_failure(self):
         result = check_center_monotone(2, 4, STANDARD, tree_n_max=4)
         assert not result.ok
+
+    def test_standard_tree_grid_lists_the_oracle_pairs(self):
+        result = check_center_monotone(4, 6, STANDARD, tree_n_max=5)
+        rooted = (
+            (f"n={n},tree={idx},root={r}", reroot(t, r))
+            for n in range(1, 6)
+            for idx, t in enumerate(generate_free_trees(n))
+            for r in range(n)
+        )
+        cases = [(f"path a={a}", make_path(a)) for a in range(5)] + list(rooted)
+        want = [
+            (label, k, i, j)
+            for label, rt in cases
+            for k in range(7)
+            for i, j in oracle_center_violations(profile(rt, k, STANDARD))
+        ]
+        assert result.cases_checked == len(cases) * 7 == 238
+        assert list(result.counterexamples) == want and len(want) == 16
+
+    def test_each_path_is_built_once(self, monkeypatch):
+        # one rooting, and its walls, serve every bound
+        built = Counter()
+        monkeypatch.setattr(
+            analysis, "make_path", lambda a, fn=make_path: built.update([a]) or fn(a)
+        )
+        assert check_center_monotone(24, 24, LAZY).cases_checked == 25 * 25
+        assert built == Counter(range(25))
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_lists_the_oracle_pairs(self, rng, k):
+        prof = random_profile_pair(rng, k)[0]
+        assert listed_centre_violations(prof) == oracle_center_violations(prof)
+
+    def test_rule_on_seeded_profiles(self):
+        rng = random.Random(19)
+        passed = Counter()
+        for k in range(15):
+            for _ in range(300):
+                prof = random_profile_pair(rng, k)[0]
+                listed = listed_centre_violations(prof)
+                assert listed == oracle_center_violations(prof)
+                passed[k] += not listed
+        assert all(0 < passed[k] < 300 for k in range(1, 15)) and passed[0] == 300
 
     def test_tree_size_past_the_generator_cap_fails_before_any_tree(self, monkeypatch):
         # not after every rooted tree up to n = 22 has been checked
@@ -458,6 +539,38 @@ class TestDifferenceMonotone:
         result = check_difference_monotone(STANDARD, a_max=0, k_max=k_max, max_legs=2, max_leg_len=2)
         spiders = Counter(x for name, x, _ in calls if name == "spider_profile")
         assert set(spiders.values()) == {k_max + 2} and len(spiders) == 5
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 14))
+    @settings(max_examples=300, deadline=None)
+    def test_rules_list_the_oracle_pairs(self, rng, k):
+        v, w = random_profile_pair(rng, k)
+        listed = analysis._difference_violations("x", v, w, k)
+        assert listed == oracle_difference_violations("x", v, w, k)
+
+    def test_rules_on_seeded_profiles(self):
+        rng = random.Random(19)
+        passed = Counter()
+        for k in range(15):
+            for _ in range(300):
+                v, w = random_profile_pair(rng, k)
+                listed = analysis._difference_violations("x", v, w, k)
+                assert listed == oracle_difference_violations("x", v, w, k)
+                passed[k] += not listed
+        assert all(0 < passed[k] < 300 for k in range(1, 15)) and passed[0] == 300
+
+    def test_standard_rootings_list_the_oracle_pairs(self):
+        # the lemma is for the lazy model; standard-model rootings fail it
+        failing, cases = [], 0
+        for label, rt in analysis._all_rooted_trees(6):
+            prof = [profile(rt, k, STANDARD) for k in range(9)]
+            for k in range(8):
+                cases += 1
+                listed = analysis._difference_violations(label, prof[k], prof[k + 1], k)
+                assert listed == oracle_difference_violations(label, prof[k], prof[k + 1], k)
+                if listed:
+                    failing.append((label, k))
+        assert cases == 520 and len(failing) == 55
+        assert failing[0] == ("n=4,tree=1,root=1", 1)
 
 
 class TestSummandComparison:

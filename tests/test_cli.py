@@ -408,6 +408,24 @@ class TestVerifyLemmas:
         else:  # the grid lemmas ignore --k
             assert res.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "lemma, digest",
+        [
+            ("difference-monotone", "7bd4a707386af89abeafe2bcf4882a6a3f59195a8b2b6775efe4190eaf145ea0"),
+            ("center-monotone", "5de73f3d4db4b207fd7de9edfb3af410dffc78da858a1ac243ad4669a88fea08"),
+        ],
+    )
+    def test_deep_grids_are_pinned(self, runner, lemma, digest):
+        # the benchmark's lemma grid and its centre twin, byte for byte, as
+        # the loops that try every pair (i, j) print them
+        res = runner.invoke(
+            main,
+            ["verify-lemmas", "--lemma", lemma, "--model", "lazy",
+             "--a-max", "24", "--k-max", "24", "--tree-n-max", "8"],
+        )
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
     def test_center_monotone_lazy(self, runner):
         res = runner.invoke(
             main,
