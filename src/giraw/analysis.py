@@ -24,7 +24,6 @@ from .counting import (
     is_spider,
     path_profile,
     profile,
-    range_classes_to_diameter,
     range_distribution,
     transfer,
 )
@@ -169,7 +168,7 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
     if family not in ("all", "spiders"):
         raise ValueError(f"family must be 'all' or 'spiders', got {family!r}")
     free_level_sequences(n)  # checks n before the path is built
-    path_f = range_classes_to_diameter(make_path(n - 1).tree.centred, n - 1, m)
+    path_f = _padded(range_distribution(make_path(n - 1).tree, m).classes, n)
     workers = _scan_workers(n)
     shard = partial(_scan_shard, n, m, family, path_f, shards=workers)
     parts = [shard(0)] if workers == 1 else _run_forked(shard, workers)

@@ -21,13 +21,7 @@ from typing import Iterator
 import click
 
 from . import analysis
-from .counting import (
-    WalkModel,
-    bounded_counts,
-    count_bounded,
-    range_classes_from,
-    range_distribution,
-)
+from .counting import WalkModel, bounded_counts, range_distribution
 from .trees import (
     DEFAULT_MAX_N,
     Tree,
@@ -136,6 +130,8 @@ def _one_line_errors() -> Iterator[None]:
         raise click.ClickException(exc.format_message()) from None
     except (ValueError, analysis.ScanWorkerError) as exc:  # TreeError is a ValueError
         raise click.ClickException(str(exc)) from None
+    except MemoryError:
+        raise click.ClickException("out of memory") from None
 
 
 class _Group(click.Group):
@@ -144,7 +140,8 @@ class _Group(click.Group):
     Click would print the usage and a hint too, and exit 2, the code giraw
     keeps for a violation. A bare `giraw` is the usage error "Missing command.".
     A ValueError or ScanWorkerError from any command is bad input met by the
-    library, and prints its message alone.
+    library, and prints its message alone; a MemoryError that no command
+    handles prints `Error: out of memory`.
     """
 
     def make_context(self, *args, **kwargs) -> click.Context:
@@ -187,22 +184,17 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
     """Bounded-labeling count F^k and class count f^k."""
     t = load_tree(tree_spec)
     m = WalkModel(model)
-    d = t.diameter()
     if k is None:
-        k = d
+        k = t.diameter()
     if k < 0:
         raise click.ClickException(f"--k must be >= 0, got {k}")
-    if k < d:
-        bounded = bounded_counts(t.centred, range(k - 1, k + 1), m)  # F^(k-1), F^k
-        labelings, classes = bounded[1], range_classes_from(bounded)[0]
-    else:  # f^j is the whole walk space s^(n-1) from j = D on
-        labelings, classes = count_bounded(t, k, m), m.steps_per_edge ** (t.n - 1)
+    before, labelings = bounded_counts(t, range(k - 1, k + 1), m)
     data = {
         "n": t.n,
         "k": k,
         "model": m.value,
         "bounded_labelings": str(labelings),
-        "range_classes": str(classes),
+        "range_classes": str(labelings - before),
     }
     emit(data, fmt, out)
 

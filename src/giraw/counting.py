@@ -141,23 +141,31 @@ def _half_weights(k: int) -> list[int]:
 
 
 def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
-    """F^k: number of labelings with all labels in [0, k].
+    """F^k: number of labelings with all labels in [0, k]."""
+    if k < 0:
+        raise ValueError(f"label bound must be >= 0, got {k}")
+    return bounded_counts(t, range(k, k + 1), m)[0]
 
-    No walk's range exceeds the diameter D, so from k = D on each of the
-    s^(n-1) translation classes gains one placement per unit of k, and
-    F^k = F^D + (k - D) s^(n-1) takes one DP, at D.
+
+def bounded_counts(t: Tree, bounds: range, m: WalkModel) -> list[int]:
+    """F^k for each bound k in bounds; F^k = 0 for k < 0.
+
+    Below the diameter D each F^k takes one half-profile DP on t.centred.
+    No walk's range exceeds D, so from k = D on each of the s^(n-1)
+    translation classes gains one placement per unit of k, and
+    F^k = F^(D-1) + (k - D + 1) s^(n-1): the DP at D - 1 runs once and
+    serves every bound from D on.
     """
-    top = min(k, t.diameter())
-    (at_top,) = bounded_counts(t.centred, range(top, top + 1), m)
-    return at_top + (k - top) * m.steps_per_edge ** (t.n - 1)
-
-
-def bounded_counts(t: RootedTree, bounds: range, m: WalkModel) -> list[int]:
-    """F^k for each bound k in bounds, one half-profile DP each; F^k = 0 for k < 0."""
-    return [
-        sum(map(operator.mul, _half_weights(k), _half_profile(t, k, m))) if k >= 0 else 0
-        for k in bounds
-    ]
+    d, walks = t.diameter(), m.steps_per_edge ** (t.n - 1)
+    below: dict[int, int] = {}  # F^j for each bound 0 <= j < D a DP ran at
+    counts = []
+    for k in bounds:
+        j = min(k, d - 1)
+        if j >= 0 and j not in below:
+            half = _half_profile(t.centred, j, m)
+            below[j] = sum(map(operator.mul, _half_weights(j), half))
+        counts.append(below.get(j, 0) + (k - j) * walks)
+    return counts
 
 
 def range_classes_from(bounded: list[int]) -> list[int]:
@@ -169,23 +177,13 @@ def range_classes_from(bounded: list[int]) -> list[int]:
     return [b - a for a, b in zip(bounded, bounded[1:])]
 
 
-def range_classes_to_diameter(t: RootedTree, d: int, m: WalkModel) -> list[int]:
-    """f^0..f^d of a tree with diameter d, one profile DP per bound k < d.
-
-    No walk has a range above the diameter, so f^d is the whole walk space
-    s^(n-1) and the widest DP is never run.
-    """
-    f = range_classes_from(bounded_counts(t, range(-1, d), m))
-    return [*f, m.steps_per_edge ** (t.n - 1)]
-
-
 def range_classes(t: Tree, k: int, m: WalkModel) -> int:
     """f^k = F^k - F^(k-1): translation classes of walks with range <= k."""
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
     if k >= t.diameter():  # no walk has a range above the diameter
         return m.steps_per_edge ** (t.n - 1)
-    return range_classes_from(bounded_counts(t.centred, range(k - 1, k + 1), m))[0]
+    return range_classes_from(bounded_counts(t, range(k - 1, k + 1), m))[0]
 
 
 class Branch(NamedTuple):
@@ -334,8 +332,8 @@ class RangeDistribution:
 
 
 def range_distribution(t: Tree, m: WalkModel) -> RangeDistribution:
-    """Exact range distribution from one profile DP per bound k below the diameter."""
-    f = range_classes_to_diameter(t.centred, t.diameter(), m)
+    """Exact range distribution: f^0..f^D from F^(-1)..F^D (bounded_counts)."""
+    f = range_classes_from(bounded_counts(t, range(-1, t.diameter() + 1), m))
     return RangeDistribution(t.n, m, tuple(f))
 
 
@@ -367,6 +365,8 @@ def path_profile(a: int, k: int, m: WalkModel) -> list[int]:
 
     Runs on the half profile F_0..F_(k//2), like profile.
     """
+    if k < 0:
+        raise ValueError(f"label bound must be >= 0, got {k}")
     h = k // 2 + 1
     mirror = k - h
     prof = [1] * h

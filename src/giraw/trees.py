@@ -140,7 +140,7 @@ class Tree:
 
     @cached_property
     def centred(self) -> RootedTree:
-        """This tree oriented away from a centre, built once: the exact DPs read it.
+        """This tree oriented away from a centre, built once: counting.bounded_counts reads it.
 
         At a centre every branch is at most half the diameter high, so the
         DP's one-wall rows (counting._half_profile) take over soonest, and a

@@ -337,7 +337,7 @@ class TestDominationOrder:
 
             return wrapper
 
-        for name in ("range_classes_to_diameter", "range_distribution", "reroot", "profile"):
+        for name in ("range_distribution", "reroot", "profile"):
             monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
         monkeypatch.setattr(Tree, "diameter", counted("diameter", Tree.diameter))
         fs = analysis._f_vectors

@@ -56,7 +56,7 @@ def test_usage_error_is_one_line_and_exit_1(runner, args, message):
     "target, args",
     [
         ("giraw.cli.range_distribution", ["dist", "--tree", "path:3"]),
-        ("giraw.cli.count_bounded", ["count", "--tree", "path:3"]),
+        ("giraw.cli.bounded_counts", ["count", "--tree", "path:3"]),
         ("giraw.analysis.compare_range", ["compare", "--left", "path:3", "--right", "star:3"]),
         ("giraw.analysis.scan_against_path", ["scan", "--n", "4"]),
         ("giraw.analysis.pairwise_domination_order", ["order", "--n", "4"]),
@@ -73,6 +73,23 @@ def test_library_error_is_one_line_and_exit_1(runner, monkeypatch, target, args,
     monkeypatch.setattr(target, boom)
     res = runner.invoke(main, args)
     assert (res.exit_code, res.output) == (1, "Error: boom\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="limits the address space with RLIMIT_AS")
+def test_out_of_memory_is_one_line_and_exit_1():
+    # a path on 1e11 vertices needs far more than the 1 GiB address space the
+    # child gets; no command handles that MemoryError, so the group does
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "giraw.cli", "dist", "--tree", "path:100000000000"],
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=limit,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", "Error: out of memory\n")
 
 
 @pytest.mark.parametrize("args", [["--help"], ["scan", "--help"]])
@@ -173,9 +190,10 @@ class TestCount:
         assert blob["bounded_labelings"] == "6"
         assert blob["range_classes"] == "4"
 
-    @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3]), (5, [5]), (9, [5])])
+    @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3]), (5, [4]), (9, [4])])
     def test_one_dp_per_bound_used(self, runner, monkeypatch, k, dps):
-        # each at the centre of the diameter-5 spider, on its leg of length 3
+        # each at the centre of the diameter-5 spider, on its leg of length 3;
+        # from the diameter on, one DP at D - 1 serves both bounds
         calls, dp = [], counting._half_profile
         monkeypatch.setattr(
             counting, "_half_profile", lambda t, k, m: calls.append((t.root, k)) or dp(t, k, m)
@@ -186,8 +204,10 @@ class TestCount:
 
     @pytest.mark.parametrize("m", ["standard", "lazy"])
     def test_k_past_the_diameter_matches_the_direct_dp(self, runner, m):
-        # spider:2,1 has diameter 3; past it F^k grows by the whole walk space
-        direct = counting.bounded_counts(make_spider([2, 1]), range(3, 10), counting.WalkModel(m))
+        # spider:2,1 has diameter 3; past it F^k grows by the whole walk space.
+        # The direct DP sums the full profile at the spider's own root.
+        rt, model = make_spider([2, 1]), counting.WalkModel(m)
+        direct = [sum(counting.profile(rt, k, model)) for k in range(3, 10)]
         for k in range(4, 10):
             res = runner.invoke(main, ["count", "--tree", "spider:2,1", "--k", str(k), "--model", m])
             blob = json.loads(res.output)
@@ -199,10 +219,10 @@ class TestCount:
         assert (res.exit_code, res.output) == (1, "Error: --k must be >= 0, got -1\n")
 
     def test_the_tree_is_walked_for_its_diameter_once(self, runner, monkeypatch):
-        # past the diameter both the command and count_bounded read it: the
-        # walk from 0 validates the path, roots it at 0 and finds one end of
-        # a longest path, one walk from that end finds the other, and one
-        # roots the path at its centre for the DP
+        # bounded_counts reads the diameter: the walk from 0 validates the
+        # path, roots it at 0 and finds one end of a longest path, one walk
+        # from that end finds the other, and one roots the path at its
+        # centre for the DP
         walks, walk = [], Tree._walk
         monkeypatch.setattr(Tree, "_walk", lambda t, root: walks.append(root) or walk(t, root))
         res = runner.invoke(main, ["count", "--tree", "path:30", "--k", "40"])

@@ -20,12 +20,12 @@ from giraw.counting import (
     profile,
     range_classes,
     range_classes_from,
-    range_classes_to_diameter,
     range_distribution,
     transfer,
 )
 from giraw.trees import (
     FREE_TREE_COUNTS,
+    RootedTree,
     SharedSubtrees,
     Tree,
     free_level_sequences,
@@ -80,6 +80,10 @@ class TestProfile:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             profile(make_path(1), -1, STANDARD)
+
+    def test_negative_k_rejected_for_a_path(self):
+        with pytest.raises(ValueError, match="label bound must be >= 0, got -1"):
+            path_profile(2, -1, STANDARD)
 
     @given(labeled_trees(), st.integers(0, 6), st.sampled_from(BOTH))
     @settings(max_examples=80)
@@ -152,8 +156,13 @@ def path_steps(n: int, m: WalkModel) -> int:
     """Band steps of the path's f vector, which a scan computes once."""
     with pytest.MonkeyPatch.context() as mp:
         steps = count_band_steps(mp)
-        range_classes_to_diameter(make_path(n - 1).tree.centred, n - 1, m)
+        range_distribution(make_path(n - 1).tree, m)
     return len(steps)
+
+
+def rooted_classes(rt: RootedTree, d: int, m: WalkModel) -> list[int]:
+    """f^0..f^d from profile DPs at rt's own root, which bounded_counts does not choose."""
+    return range_classes_from([0, *(sum(profile(rt, k, m)) for k in range(d + 1))])
 
 
 def full_width_push(row: list[int], a: int, m: WalkModel) -> list[int]:
@@ -324,8 +333,7 @@ class TestOneWallRows:
                 want = table.f_vector(table.split(levels), d)[: d + 1]
                 for r in range(n):
                     for rt in reroot(t, r), reroot(Tree(t.n, t.edges), r):
-                        f = range_classes_from(bounded_counts(rt, range(-1, d + 1), m))
-                        assert f == want
+                        assert rooted_classes(rt, d, m) == want
 
     @pytest.mark.parametrize("m", BOTH)
     def test_every_rooting_matches_walk_enumeration(self, m):
@@ -334,7 +342,7 @@ class TestOneWallRows:
                 d = t.diameter()
                 want = [oracle_F(t, k, m) for k in range(d + 1)]
                 for r in range(n):
-                    assert bounded_counts(reroot(t, r), range(d + 1), m) == want
+                    assert [sum(profile(reroot(t, r), k, m)) for k in range(d + 1)] == want
 
     def test_a_wall_is_kept_per_class_and_model(self):
         # Q_0..Q_h of each arm of the centred path 0-1-2-3-4: labellings of
@@ -359,7 +367,7 @@ class TestRootBranches:
                 branches = table.split(levels)
                 d = centre_diameter(branches)
                 assert d == rt.tree.diameter()
-                f = range_classes_to_diameter(rt, d, m)
+                f = rooted_classes(rt, d, m)
                 assert table.f_vector(branches, d) == [*f, *f[-1:] * (n - len(f))]
                 assert is_spider(branches) == rt.tree.is_spider()
 
@@ -412,15 +420,27 @@ class TestCounts:
         values = [range_classes(t, k, m) for k in range(t.n)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_count_past_the_diameter_runs_one_dp_at_it(self, monkeypatch):
-        # rooted at the centre, vertex 2 of the longest path 0-1-2-3
+    def test_count_past_the_diameter_runs_one_dp_below_it(self, monkeypatch):
+        # F^(D-1) rooted at the centre, vertex 2 of the longest path 0-1-2-3
         calls, dp = [], counting._half_profile
         monkeypatch.setattr(
             counting, "_half_profile", lambda t, k, m: calls.append((t.root, k)) or dp(t, k, m)
         )
         t = make_path(3).tree
         assert count_bounded(t, 20_000_000, STANDARD) == 159_999_992
-        assert calls == [(2, 3)]
+        assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_bounded_counts_match_walk_enumeration(self, m):
+        # F^k = 0 below 0, one DP per bound below D, and the diameter rule past it
+        for n in range(1, 8):
+            for t in generate_free_trees(n):
+                bounds = range(-1, t.diameter() + 4)
+                assert bounded_counts(t, bounds, m) == [oracle_F(t, k, m) for k in bounds]
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="label bound must be >= 0, got -1"):
+            count_bounded(make_path(3).tree, -1, STANDARD)
 
     def test_k_past_the_diameter_runs_no_dp(self, monkeypatch):
         steps = count_band_steps(monkeypatch)
@@ -524,7 +544,7 @@ class TestRangeDistribution:
         for n in range(1, 13):
             for levels, t in zip(free_level_sequences(n), generate_free_trees(n)):
                 d = t.diameter()
-                f = range_classes_from(bounded_counts(level_tree(levels), range(-1, d + 1), m))
+                f = rooted_classes(level_tree(levels), d, m)
                 tails = range_distribution(t, m).tail_counts
                 assert f == [tails[0] - tails[j + 1] for j in range(d + 1)]
 
