@@ -20,7 +20,9 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 from .counting import (
     RootBranches,
     WalkModel,
+    branch_keys,
     centre_diameter,
+    fraction_text,
     is_spider,
     path_profile,
     profile,
@@ -29,7 +31,6 @@ from .counting import (
 )
 from .trees import (
     RootedTree,
-    SharedSubtrees,
     Tree,
     free_level_sequences,
     generate_free_trees,
@@ -63,11 +64,7 @@ class DominanceReport:
             "verdict": self.verdict.value,
             "strict_at": list(self.strict_at),
             "per_k": [
-                {
-                    "k": k,
-                    "tail_left": f"{a.numerator}/{a.denominator}",
-                    "tail_right": f"{b.numerator}/{b.denominator}",
-                }
+                {"k": k, "tail_left": fraction_text(a), "tail_right": fraction_text(b)}
                 for k, a, b in self.per_k
             ],
         }
@@ -136,8 +133,8 @@ class ScanResult:
                 {
                     "tree_edges": list(v.tree.edges),
                     "k": v.k,
-                    "tail_tree": f"{v.tail_tree.numerator}/{v.tail_tree.denominator}",
-                    "tail_path": f"{v.tail_path.numerator}/{v.tail_path.denominator}",
+                    "tail_tree": fraction_text(v.tail_tree),
+                    "tail_path": fraction_text(v.tail_path),
                 }
                 for v in self.violations
             ],
@@ -461,11 +458,13 @@ def _peaks_at_centre(x: Sequence[int]) -> bool:
 
 
 def center_violations(rt: RootedTree, k: int, m: WalkModel) -> list[tuple[int, int]]:
-    """Pairs (i, j) with |i-k/2| <= |j-k/2| but F_i < F_j for this rooted tree.
+    """Pairs (i, j) with |i-k/2| <= |j-k/2| but F_i < F_j for this rooted tree."""
+    return _centre_pairs(profile(rt, k, m))
 
-    They are listed only for a profile that fails _peaks_at_centre.
-    """
-    prof = profile(rt, k, m)
+
+def _centre_pairs(prof: list[int]) -> list[tuple[int, int]]:
+    """center_violations of F_0..F_k, listed only for a profile that fails _peaks_at_centre."""
+    k = len(prof) - 1
     if _peaks_at_centre(prof):
         return []
     bad = []
@@ -476,14 +475,14 @@ def center_violations(rt: RootedTree, k: int, m: WalkModel) -> list[tuple[int, i
     return bad
 
 
-def _all_rooted_trees(n_max: int) -> Iterator[tuple[str, RootedTree]]:
-    """Every rooted free tree up to n_max vertices, all sizes in one batch."""
+def _rooted_profiles(n_max: int, bound: int, m: WalkModel) -> Iterator[tuple[str, list[list[int]]]]:
+    """Every rooting of every free tree up to n_max vertices, and its profiles at each k < bound."""
     free_level_sequences(n_max)  # checks n_max before the first tree
-    shared = SharedSubtrees()
+    table = RootBranches(n_max, m, bound)
     for n in range(1, n_max + 1):
-        for idx, t in enumerate(generate_free_trees(n, shared)):
+        for idx, t in enumerate(generate_free_trees(n)):
             for r in range(t.n):
-                yield f"n={n},tree={idx},root={r}", reroot(t, r)
+                yield f"n={n},tree={idx},root={r}", table.profiles(branch_keys(reroot(t, r)))
 
 
 def check_center_monotone(
@@ -505,10 +504,10 @@ def check_center_monotone(
             for i, j in center_violations(path, k, m):
                 ces.append((f"path a={a}", k, i, j))
     if tree_n_max > 0:
-        for label, rt in _all_rooted_trees(tree_n_max):
-            for k in range(k_max + 1):
+        for label, profs in _rooted_profiles(tree_n_max, k_max + 1, m):
+            for k, prof in enumerate(profs):
                 cases += 1
-                for i, j in center_violations(rt, k, m):
+                for i, j in _centre_pairs(prof):
                     ces.append((label, k, i, j))
     return LemmaCheckResult(
         lemma="center-monotone",
@@ -592,8 +591,8 @@ def check_difference_monotone(
     for legs in iter_spider_leg_lists(max_legs, max_leg_len):
         run(f"spider {legs}", lambda k, legs=legs: spider_profile(legs, k, m))
     if m is WalkModel.LAZY and tree_n_max > 0:
-        for label, rt in _all_rooted_trees(tree_n_max):
-            run(label, lambda k, rt=rt: profile(rt, k, m))
+        for label, profs in _rooted_profiles(tree_n_max, k_max + 2, m):
+            run(label, profs.__getitem__)
     return LemmaCheckResult(
         lemma="difference-monotone",
         grid=(

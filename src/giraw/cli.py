@@ -21,15 +21,14 @@ from typing import Iterator
 import click
 
 from . import analysis
-from .counting import WalkModel, bounded_counts, range_distribution
+from .counting import WalkModel, bounded_counts, fraction_text, range_distribution
 from .trees import (
     DEFAULT_MAX_N,
     Tree,
     TreeError,
+    _path_tree,
+    _spider_tree,
     generate_free_trees,
-    make_path,
-    make_spider,
-    make_star,
     parse_tree,
 )
 
@@ -37,14 +36,15 @@ VIOLATION_EXIT = 2
 
 
 def load_tree(spec: str) -> Tree:
+    """A file's tree, or a shorthand's, unrooted, with make_path's or make_spider's edges."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "path" and rest:
-            return make_path(int(rest)).tree
+            return _path_tree(int(rest))
         if kind == "star" and rest:
-            return make_star(int(rest)).tree
+            return _spider_tree([1] * int(rest))
         if kind == "spider" and rest:
-            return make_spider([int(x) for x in rest.split(",")]).tree
+            return _spider_tree([int(x) for x in rest.split(",")])
     except ValueError as exc:
         raise click.ClickException(f"bad tree shorthand {spec!r}: {exc}")
     path = Path(spec)
@@ -213,7 +213,7 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
         left, right, WalkModel(model), left_id=left_spec, right_id=right_spec
     )
     rows = [
-        {"k": k, "tail_left": f"{a.numerator}/{a.denominator}", "tail_right": f"{b.numerator}/{b.denominator}"}
+        {"k": k, "tail_left": fraction_text(a), "tail_right": fraction_text(b)}
         for k, a, b in rep.per_k
     ]
     emit(rep.to_json_dict(), fmt, out, rows)

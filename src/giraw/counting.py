@@ -10,11 +10,16 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import accumulate
 from typing import NamedTuple
 
 from .trees import RootedTree, Tree
+
+
+def fraction_text(p: Fraction) -> str:
+    """An exact rational as JSON text, p/q even for an integer."""
+    return f"{p.numerator}/{p.denominator}"
 
 
 class WalkModel(enum.Enum):
@@ -52,13 +57,14 @@ def band_step(prof: list[int], m: WalkModel, beyond: int = 0) -> list[int]:
 
 
 def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
-    """F_i^k profile of a rooted tree: entry i counts labelings with root label i.
-
-    The full width of _half_profile's root profile: F_(k-i) = F_i.
-    """
+    """F_i^k profile of a rooted tree: entry i counts labelings with root label i."""
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
-    half = _half_profile(t, k, m)
+    return _unfold(_half_profile(t, k, m), k)
+
+
+def _unfold(half: list[int], k: int) -> list[int]:
+    """F_0..F_k from the half profile F_0..F_(k//2) at bound k: F_(k-i) = F_i."""
     mirror = k - len(half)  # the stored label that mirrors label k//2 + 1; -1 for k = 0
     return [*half, *half[: mirror + 1][::-1]]
 
@@ -71,28 +77,26 @@ def _half_profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     band_step (all ones at a leaf). Every profile is a palindrome
     (F_i^k = F_(k-i)^k, see band_step), so the DP runs on half profiles.
     A subtree's profile depends only on its rooted-isomorphism class, and a
-    parent reads it only pushed, so the DP keeps a memo that maps class id
-    -> edge-pushed half profile: the memo of the tree's batch at (k, model),
-    or one of this call's own for a tree in no batch. The DP pushes each
-    class below the root that the memo lacks once, however many vertices
-    have it, stores it, and then multiplies the root's children. The root's
-    profile is never pushed or stored.
+    parent reads it only pushed, so the call pushes each class below the
+    root once, however many vertices have it, into a memo of class id ->
+    edge-pushed half profile, and then multiplies the root's children.
 
-    The one-wall rule: labels below a class of height h (in edges from its
-    parent) lie within h of the parent's label i, so once k - k//2 >= h no
-    stored label i <= k//2 reaches the upper wall k, and the pushed half
-    profile is Q_0..Q_(k//2), where Q_i counts the labellings with the lower
-    wall 0 alone. Q_i is the constant s^size for i >= h, so the DP keeps
-    Q_0..Q_h, the class's wall, from the first bound it pushes the class at
-    that has the rule (the tree's walls, or its batch's, per model), and at
-    every such bound after that it copies a prefix of the wall, extended by
-    Q_h, without pushing the class or visiting anything below it.
+    The one-wall rule, which RootBranches applies too: labels below a class
+    of height h (in edges from its parent) lie within h of the parent's
+    label i, so once k - k//2 >= h no stored label i <= k//2 reaches the
+    upper wall k, and the pushed half profile is Q_0..Q_(k//2), where Q_i
+    counts the labellings with the lower wall 0 alone. Q_i is the constant
+    s^size for i >= h, so the first bound with the rule that pushes the
+    class keeps Q_0..Q_h, the class's wall (RootedTree.walls, per model),
+    and every such bound after that copies a prefix of the wall, extended
+    by Q_h, sharing its ints, without pushing the class or visiting
+    anything below it.
     """
     width = k // 2 + 1
     mirror = k - width  # the stored label that mirrors label k//2 + 1; -1 for k = 0
-    ids, heights, shared = t.class_ids, t.heights, t.tree.shared
-    pushed = {} if shared is None else shared.profiles.setdefault((k, m), {})
-    walls = (t.walls if shared is None else shared.walls).setdefault(m, {})
+    ids, heights = t.class_ids, t.heights
+    pushed: dict[int, list[int]] = {}
+    walls = t.walls.setdefault(m, {})
     reach = k - k // 2  # the greatest class height that leaves the upper wall out of reach
     first: dict[int, int] = {}  # each class missing from the memo -> its first vertex
     stack = [t.root]
@@ -194,12 +198,12 @@ class Branch(NamedTuple):
     rows: list[int]  # edge-pushed half profiles at k = 0, 1, ..., as far as a tree reads them
 
 
-# x -> x - 1 on every byte: lifts the key of a branch of a branch one level
-_LIFT = bytes([0, *range(255)])
+# x -> x - 1 and x -> x + 1 on every byte: move a key one level up or down
+_LIFT, _LOWER = bytes([0, *range(255)]), bytes([*range(1, 256), 255])
 
 
 class RootBranches(dict):
-    """The root branches of level sequences on n vertices, interned by shape, in model m.
+    """Root branches of trees, interned by shape, in model m.
 
     A branch is a child of the root with everything below it. In a level
     sequence every depth-1 entry starts one, and its key is the bytes of
@@ -207,26 +211,27 @@ class RootBranches(dict):
     met one level deeper, as a branch of a branch, gets the same key from
     the depths below its own top less one, so each class is stored once.
     Level sequences list the children in canonical order, so equal shapes
-    have equal keys.
+    have equal keys, as do branch_keys of any rooted tree.
 
     A class is built on its first sighting, from its own branches: the
     entrywise product of their rows at each k, pushed across its top edge
-    by one band_step per k. f^k needs profiles only for k < D, and a
-    longest path of a centre-rooted tree meets a subtree with `size`
-    vertices that hangs by an edge in at most `height` of them (it enters
-    at the top and only goes down), so a tree that holds the class has
-    D <= n - 1 - size + height: its rows run to that bound less one. A
-    class's own branches reach at least as far.
+    by one band_step per k, until k - k//2 >= height and the one-wall rule
+    of _half_profile gives each row. The rows run to k = bound - 1, or, for
+    f vectors on n vertices, to k < D: a longest path of a centre-rooted
+    tree enters a subtree of `size` vertices at its top and meets at most
+    `height` of them, so a tree that holds the class has
+    D <= n - 1 - size + height. A class's own branches reach at least as far.
     """
 
-    def __init__(self, n: int, m: WalkModel):
+    def __init__(self, n: int, m: WalkModel, bound: int | None = None):
         super().__init__()
-        self.n, self.model = n, m
+        self.n, self.model, self.bound = n, m, bound
         self.walks = m.steps_per_edge ** (n - 1)  # s^(n-1): f^k for k >= D
+        bounds = range(n - 1 if bound is None else bound)
         # rows[ends[k]:ends[k + 1]] is the half profile at bound k
-        self.ends = [0, *accumulate(k // 2 + 1 for k in range(n - 1))]
+        self.ends = [0, *accumulate(k // 2 + 1 for k in bounds)]
         self.lasts = [e - 1 for e in self.ends[1:]]
-        self.weights = [w for k in range(n - 1) for w in _half_weights(k)]
+        self.weights = [w for k in bounds for w in _half_weights(k)]
 
     def split(self, levels: list[int]) -> list[Branch]:
         """The branches of the root of a level sequence, in order, each interned."""
@@ -235,18 +240,29 @@ class RootBranches(dict):
     def __missing__(self, key: bytes) -> Branch:
         subs = [self[part.translate(_LIFT)] for part in key.split(b"\x02")[1:]]
         size, height = len(key) + 1, max(key, default=1)
-        reach = self.n - 1 - size + height  # every k < D: see the class docstring
-        prod = [1] * self.ends[reach]
+        reach = self.n - 1 - size + height if self.bound is None else self.bound
+        pushes = min(reach, 2 * height)  # the wall rule holds from k = 2 height - 1 on
+        prod = [1] * self.ends[pushes]
         for b in subs:
             prod = list(map(operator.mul, prod, b.rows))
         rows: list[int] = []
-        for k in range(reach):
+        for k in range(pushes):
             half = prod[self.ends[k] : self.ends[k + 1]]
             mirror = k - len(half)  # see band_step; -1 for k = 0
             rows += band_step(half, self.model, half[mirror] if mirror >= 0 else 0)
+        if pushes < reach:  # the row at k = 2 height - 1 is Q_0..Q_(height - 1)
+            wall = [*rows[self.ends[pushes - 1] :], self.model.steps_per_edge**size]
+            for k in range(pushes, reach):
+                rows += wall + wall[-1:] * (k // 2 - height)
         forks = sum(b.forks for b in subs) + (len(subs) > 1)
         branch = self[key] = Branch(height, forks, rows)
         return branch
+
+    def profiles(self, keys: list[bytes]) -> list[list[int]]:
+        """Root profiles F_0^k..F_k^k, each k below the bound, of a root with these branch keys."""
+        rows = [self[key].rows for key in keys] or [[1] * self.ends[-1]]
+        prod = list(reduce(partial(map, operator.mul), rows))
+        return [_unfold(prod[a:b], k) for k, (a, b) in enumerate(zip(self.ends, self.ends[1:]))]
 
     def f_vector(self, branches: list[Branch], d: int) -> list[int]:
         """f^0..f^(n-1) of the tree whose root has these branches and whose diameter is d.
@@ -264,6 +280,19 @@ class RootBranches(dict):
         totals = list(map(running.__getitem__, self.lasts[:d]))
         bounded = list(map(operator.sub, totals, [0, *totals]))
         return [*map(operator.sub, bounded, [0, *bounded]), *[self.walks] * (self.n - d)]
+
+
+def branch_keys(rt: RootedTree) -> list[bytes]:
+    """The keys of rt's root branches, as split reads them from a level sequence.
+
+    A key lists its children, in the decreasing order of level sequences,
+    each as a byte 2 followed by the child's own key one level lower.
+    """
+    keys: dict[int, bytes] = {}
+    for v in rt.postorder()[:-1]:  # children first, without the root
+        below = sorted([keys.pop(c) for c in rt.children[v]], reverse=True)
+        keys[v] = b"".join([b"\x02" + key.translate(_LOWER) for key in below])
+    return sorted([keys[c] for c in rt.children[rt.root]], reverse=True)
 
 
 def centre_diameter(branches: list[Branch]) -> int:
@@ -327,7 +356,7 @@ class RangeDistribution:
             "model": self.model.value,
             "denominator": str(self.denominator),
             "class_counts": {str(r): str(c) for r, c in self.class_counts.items()},
-            "tail": {str(k): f"{p.numerator}/{p.denominator}" for k, p in enumerate(tails)},
+            "tail": {str(k): fraction_text(p) for k, p in enumerate(tails)},
         }
 
 
@@ -372,7 +401,7 @@ def path_profile(a: int, k: int, m: WalkModel) -> list[int]:
     prof = [1] * h
     for _ in range(a):
         prof = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
-    return [*prof, *prof[: mirror + 1][::-1]]
+    return _unfold(prof, k)
 
 
 def f_start_count(a: int, k: int, i: int, m: WalkModel) -> int:

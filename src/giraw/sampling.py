@@ -16,6 +16,7 @@ import numpy as np
 from .counting import (
     WalkModel,
     endpoint_difference_distribution,
+    fraction_text,
     range_distribution,
 )
 from .trees import RootedTree, Tree
@@ -85,7 +86,7 @@ class EstimateReport:
             "seed": self.seed,
         }
         if self.exact is not None:
-            d["exact"] = f"{self.exact.numerator}/{self.exact.denominator}"
+            d["exact"] = fraction_text(self.exact)
             d["deviation"] = self.deviation
         return d
 

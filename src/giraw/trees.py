@@ -3,7 +3,7 @@
 Trees use dense 0-based vertex ids so downstream dynamic programming can be
 array-indexed. Trees are immutable after construction; a tree keeps what it
 derives from its edges (adjacency, a longest path, its rootings at vertex 0
-and at a centre), and only the subtree table its batch shares grows.
+and at a centre).
 """
 
 from __future__ import annotations
@@ -29,33 +29,12 @@ class TreeParseError(TreeError):
     """Raised when edge-list text cannot be parsed; carries line context."""
 
 
-@dataclass
-class SharedSubtrees:
-    """Rooted subtree classes shared by one batch of trees, and their profiles.
-
-    ids maps the sorted tuple of a vertex's children's class ids to the class
-    id of its subtree; profiles is the memo of edge-pushed profiles that
-    counting.profile keeps, one per class below a root, bound and model, and
-    walls the one-wall rows it keeps, one per class and model.
-    """
-
-    ids: dict[tuple[int, ...], int] = field(default_factory=dict)
-    profiles: dict = field(default_factory=dict)
-    walls: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class Tree:
-    """Undirected tree on vertices 0..n-1, stored as an edge list.
-
-    shared is the subtree table of the tree's batch, or None for a tree in
-    no batch, which keeps no profiles between calls, only the one-wall rows
-    of its rootings (RootedTree.walls).
-    """
+    """Undirected tree on vertices 0..n-1, stored as an edge list."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    shared: SharedSubtrees | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -79,12 +58,11 @@ class Tree:
             raise TreeError("graph is not connected")
 
     @classmethod
-    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...], shared: SharedSubtrees | None) -> Tree:
+    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...]) -> Tree:
         """A tree from edges that are known to form one, without validating them again."""
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "edges", edges)
-        object.__setattr__(t, "shared", shared)
         return t
 
     def _walk(self, root: int) -> tuple[list[int], list[int]]:
@@ -149,13 +127,6 @@ class Tree:
         path = self._longest_path
         return reroot(self, path[len(path) // 2])
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
     def distance(self, u: int, v: int) -> int:
         """Edge distance between u and v: v's depth below u."""
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -170,10 +141,6 @@ class Tree:
     def diameter(self) -> int:
         """Edges on a longest path, found once per tree."""
         return len(self._longest_path) - 1
-
-    def is_spider(self) -> bool:
-        """At most one vertex of degree greater than 2. Paths count."""
-        return sum(1 for d in self.degrees() if d > 2) <= 1
 
     def canonical_form(self) -> str:
         """Isomorphism-invariant canonical bracket string (AHU on a center root)."""
@@ -192,8 +159,8 @@ class Tree:
 class RootedTree:
     """Tree with an orientation away from a chosen root.
 
-    walls holds the one-wall rows of counting._half_profile for a tree in no
-    batch, one per class and model; a batch keeps them in its SharedSubtrees.
+    walls holds the one-wall rows of counting._half_profile, one per class
+    and model.
     """
 
     tree: Tree
@@ -217,18 +184,15 @@ class RootedTree:
     def class_ids(self) -> tuple[int, ...]:
         """Interned rooted-isomorphism class of every vertex's subtree, -1 at the root.
 
-        Two subtrees below the roots of this or any other rooted tree of the
-        same batch get the same id iff they are isomorphic as rooted trees.
-        The root is not interned: no parent in its tree reads its profile,
-        and a scanned tree's root class is seen once. A tree in no batch
-        interns into a table of its own, dropped once the ids are built.
+        Two subtrees below the root get the same id iff they are isomorphic
+        as rooted trees, and a class's id exceeds its children's. The root is
+        not interned: no parent reads its profile. The table is this
+        rooting's own, dropped once the ids are built.
         """
-        shared, children = self.tree.shared, self.children
-        table = {} if shared is None else shared.ids
-        leaf = table.setdefault((), len(table))
-        ids = [leaf] * self.n
+        table: dict[tuple[int, ...], int] = {(): 0}  # the leaf class is 0
+        ids = [0] * self.n
         for v in self.postorder()[:-1]:  # the reverse of a preorder, without the root
-            if kids := children[v]:
+            if kids := self.children[v]:
                 ids[v] = table.setdefault(tuple(sorted([ids[c] for c in kids])), len(table))
         ids[self.root] = -1
         return tuple(ids)
@@ -270,14 +234,27 @@ def reroot(t: Tree, root: int) -> RootedTree:
 
 def make_path(a: int) -> RootedTree:
     """Path with a edges, rooted at endpoint vertex 0."""
-    if a < 0:
-        raise TreeError(f"path length must be >= 0, got {a}")
-    edges = tuple((i, i + 1) for i in range(a))
-    return Tree(n=a + 1, edges=edges).rooted
+    return _path_tree(a).rooted
 
 
 def make_spider(legs: list[int]) -> RootedTree:
     """Spider with the given leg lengths, rooted at the branch vertex 0."""
+    return _spider_tree(legs).rooted
+
+
+def make_star(leaves: int) -> RootedTree:
+    return make_spider([1] * leaves)
+
+
+def _path_tree(a: int) -> Tree:
+    """The path of make_path, not yet rooted: vertex i is i edges from vertex 0."""
+    if a < 0:
+        raise TreeError(f"path length must be >= 0, got {a}")
+    return Tree(n=a + 1, edges=tuple((i, i + 1) for i in range(a)))
+
+
+def _spider_tree(legs: list[int]) -> Tree:
+    """The spider of make_spider, not yet rooted: vertex 0 is the branch vertex."""
     if not legs:
         raise TreeError("spider needs at least one leg")
     if any(a < 1 for a in legs):
@@ -290,11 +267,7 @@ def make_spider(legs: list[int]) -> RootedTree:
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    return Tree(n=nxt, edges=tuple(edges)).rooted
-
-
-def make_star(leaves: int) -> RootedTree:
-    return make_spider([1] * leaves)
+    return Tree(n=nxt, edges=tuple(edges))
 
 
 def parse_tree(text: str) -> Tree:
@@ -335,17 +308,15 @@ def parse_tree(text: str) -> Tree:
         raise TreeParseError(str(exc)) from None
 
 
-def generate_free_trees(n: int, shared: SharedSubtrees | None = None) -> Iterator[Tree]:
+def generate_free_trees(n: int) -> Iterator[Tree]:
     """Yield one representative per isomorphism class of free trees on n vertices.
 
-    The trees form one batch: they share `shared`, or a new table if it is None.
     Each is the level_tree of a sequence of free_level_sequences(n), so its
     vertex i is the i-th entry and its edges are the sorted (parent, child)
     pairs.
     """
-    shared = shared or SharedSubtrees()
     for levels in free_level_sequences(n):
-        yield level_tree(levels, shared).tree
+        yield level_tree(levels).tree
 
 
 def free_level_sequences(n: int) -> Iterator[list[int]]:
@@ -377,7 +348,7 @@ def _wrom_walk(n: int) -> Iterator[list[int]]:
         seq = _next_rooted(seq)
 
 
-def level_tree(levels: list[int], shared: SharedSubtrees | None = None) -> RootedTree:
+def level_tree(levels: list[int]) -> RootedTree:
     """The rooted tree of a level sequence: vertex i is entry i, the root is 0.
 
     A list of depths is the preorder level sequence of a rooted tree iff it
@@ -385,7 +356,6 @@ def level_tree(levels: list[int], shared: SharedSubtrees | None = None) -> Roote
     the depth before it; vertex v's parent is then the last vertex before v
     one level up. That O(n) check, which raises TreeError, stands in for
     the validation of the edges, which are the sorted (parent, child) pairs.
-    The tree belongs to the batch `shared`, or to no batch if it is None.
     """
     n = len(levels)
     if not levels or levels[0] != 0:
@@ -399,7 +369,7 @@ def level_tree(levels: list[int], shared: SharedSubtrees | None = None) -> Roote
         children[last_at[d - 1]].append(v)
         last_at[d] = v
     edges = tuple((v, c) for v, kids in enumerate(children) for c in kids)
-    tree = Tree._unchecked(n, edges, shared)
+    tree = Tree._unchecked(n, edges)
     return RootedTree(tree, 0, tuple(map(tuple, children)))
 
 

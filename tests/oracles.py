@@ -79,6 +79,20 @@ def oracle_distances(n: int, edges) -> list[list[int]]:
     return out
 
 
+def degrees(t: Tree) -> list[int]:
+    """Every vertex's degree, counted from the raw edge list."""
+    deg = [0] * t.n
+    for u, v in t.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def oracle_is_spider(t: Tree) -> bool:
+    """At most one vertex of degree greater than 2. Paths count."""
+    return sum(1 for d in degrees(t) if d > 2) <= 1
+
+
 def tree_from_prufer(seq: list[int]) -> Tree:
     """Decode a Prufer sequence into the labeled tree on len(seq)+2 vertices."""
     n = len(seq) + 2

@@ -26,7 +26,8 @@ from giraw.analysis import (
     scan_against_path,
     spidersums_sides,
 )
-from giraw.counting import WalkModel, profile, range_distribution
+from giraw import counting
+from giraw.counting import RootBranches, WalkModel, profile, range_distribution
 from giraw.trees import (
     FREE_TREE_COUNTS,
     Tree,
@@ -41,8 +42,10 @@ from giraw.trees import (
 
 from fresh import run_python
 from oracles import (
+    degrees,
     oracle_center_violations,
     oracle_difference_violations,
+    oracle_is_spider,
     oracle_range_counts,
     tree_from_prufer,
 )
@@ -167,7 +170,7 @@ class TestScan:
 
     def test_spider_family_counts_the_spiders(self):
         for n in range(2, 15):
-            spiders = sum(1 for t in generate_free_trees(n) if t.is_spider())
+            spiders = sum(1 for t in generate_free_trees(n) if oracle_is_spider(t))
             assert scan_against_path(n, STANDARD, "spiders").trees_checked == spiders
 
     @pytest.mark.parametrize("m", BOTH)
@@ -180,7 +183,7 @@ class TestScan:
             star = range_distribution(make_star(n - 1).tree, m)
             want = []
             for t in generate_free_trees(n):
-                if family == "spiders" and not t.is_spider():
+                if family == "spiders" and not oracle_is_spider(t):
                     continue
                 dist = range_distribution(t, m)
                 for k in range(1, n):
@@ -304,7 +307,7 @@ class TestDominationOrder:
     def test_n4_is_chain(self):
         order = pairwise_domination_order(4, STANDARD)
         assert len(order.trees) == 2
-        star = next(i for i, t in enumerate(order.trees) if max(t.degrees()) == 3)
+        star = next(i for i, t in enumerate(order.trees) if max(degrees(t)) == 3)
         path = 1 - star
         assert order.dominators_of(star) == sorted({star, path})
         assert order.dominators_of(path) == [path]
@@ -477,6 +480,25 @@ class TestCenterMonotone:
         assert result.cases_checked == len(cases) * 7 == 238
         assert list(result.counterexamples) == want and len(want) == 16
 
+    def test_standard_grid_to_seven_vertices_lists_the_oracle_pairs(self):
+        # a failing grid read from the branch table lists what the profile
+        # DP of each rooting gives, with the same labels in the same order
+        result = check_center_monotone(4, 7, STANDARD, tree_n_max=7)
+        cases = [(f"path a={a}", make_path(a)) for a in range(5)] + [
+            (f"n={n},tree={idx},root={r}", reroot(t, r))
+            for n in range(1, 8)
+            for idx, t in enumerate(generate_free_trees(n))
+            for r in range(n)
+        ]
+        want = [
+            (label, k, i, j)
+            for label, rt in cases
+            for k in range(8)
+            for i, j in oracle_center_violations(profile(rt, k, STANDARD))
+        ]
+        assert result.cases_checked == len(cases) * 8 == 1176
+        assert list(result.counterexamples) == want and len(want) == 134
+
     def test_each_path_is_built_once(self, monkeypatch):
         # one rooting, and its walls, serve every bound
         built = Counter()
@@ -510,6 +532,40 @@ class TestCenterMonotone:
             check_center_monotone(0, 0, LAZY, tree_n_max=23)
 
 
+class TestRootedProfiles:
+    @pytest.mark.parametrize("m", BOTH)
+    def test_every_rooting_matches_its_profile_dp(self, m):
+        # every rooting of every free tree up to 8 vertices, in the order
+        # the grids label them, at every k <= 12
+        rooted = [
+            (f"n={n},tree={idx},root={r}", reroot(t, r))
+            for n in range(1, 9)
+            for idx, t in enumerate(generate_free_trees(n))
+            for r in range(n)
+        ]
+        got = list(analysis._rooted_profiles(8, 13, m))
+        assert [label for label, _ in got] == [label for label, _ in rooted]
+        for (_, profs), (_, rt) in zip(got, rooted):
+            assert profs == [profile(rt, k, m) for k in range(13)]
+
+    def test_the_grids_push_each_class_once(self, monkeypatch):
+        # the deep benchmark's lazy difference grid: each subtree class is
+        # pushed at every k below its first wall bound and the grid's bound
+        steps, band_step = [], counting.band_step
+        monkeypatch.setattr(
+            counting, "band_step", lambda p, m, beyond=0: steps.append(1) or band_step(p, m, beyond)
+        )
+        tables, make = [], analysis.RootBranches
+        monkeypatch.setattr(
+            analysis, "RootBranches", lambda n, m, bound: tables.append(make(n, m, bound)) or tables[-1]
+        )
+        for _ in analysis._rooted_profiles(8, 26, LAZY):
+            pass
+        (table,) = tables
+        assert len(table) == 1 + 1 + 2 + 4 + 9 + 20 + 48  # rooted trees on 1..7 vertices
+        assert len(steps) == sum(min(26, 2 * b.height) for b in table.values()) == 670
+
+
 class TestDifferenceMonotone:
     def test_standard(self):
         result = check_difference_monotone(
@@ -522,19 +578,27 @@ class TestDifferenceMonotone:
         assert check_difference_monotone(LAZY, a_max=4, k_max=5, tree_n_max=6).ok
 
     def test_each_profile_is_computed_once(self, monkeypatch):
-        # k_max + 1 cases per path, spider or rooted tree read k_max + 2 profiles
+        # k_max + 1 cases per path, spider or rooted tree read k_max + 2
+        # profiles; a rooting's come from one product of its branches' rows
         calls = Counter()
-        for name in ("path_profile", "spider_profile", "profile"):
+        for name in ("path_profile", "spider_profile"):
             fn = getattr(analysis, name)
             monkeypatch.setattr(
                 analysis, name, lambda x, k, m, fn=fn: calls.update([(fn.__name__, str(x), k)]) or fn(x, k, m)
             )
+        rootings, profiles = [], RootBranches.profiles
+        monkeypatch.setattr(
+            RootBranches, "profiles", lambda table, bs: rootings.append(profiles(table, bs)) or rootings[-1]
+        )
+        monkeypatch.setattr(analysis, "profile", lambda *args: pytest.fail("a per-rooting DP ran"))
         k_max = 4
         result = check_difference_monotone(LAZY, a_max=3, k_max=k_max, max_legs=0, tree_n_max=5)
         runs = Counter((name, x) for name, x, _ in calls)
         assert set(calls.values()) == {1}
         assert set(runs.values()) == {k_max + 2}
-        assert result.cases_checked == len(runs) * (k_max + 1)
+        assert len(rootings) == 1 + 2 + 3 + 2 * 4 + 3 * 5
+        assert {len(profs) for profs in rootings} == {k_max + 2}
+        assert result.cases_checked == (len(runs) + len(rootings)) * (k_max + 1)
         calls.clear()
         result = check_difference_monotone(STANDARD, a_max=0, k_max=k_max, max_legs=2, max_leg_len=2)
         spiders = Counter(x for name, x, _ in calls if name == "spider_profile")
@@ -561,8 +625,7 @@ class TestDifferenceMonotone:
     def test_standard_rootings_list_the_oracle_pairs(self):
         # the lemma is for the lazy model; standard-model rootings fail it
         failing, cases = [], 0
-        for label, rt in analysis._all_rooted_trees(6):
-            prof = [profile(rt, k, STANDARD) for k in range(9)]
+        for label, prof in analysis._rooted_profiles(6, 9, STANDARD):
             for k in range(8):
                 cases += 1
                 listed = analysis._difference_violations(label, prof[k], prof[k + 1], k)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from giraw import analysis, counting
+from giraw import analysis, counting, trees
 from giraw.cli import load_tree, main
 from giraw.trees import Tree, TreeError, make_path, make_spider, make_star
 
@@ -106,6 +106,32 @@ class TestLoadTree:
             load_tree("spider:2,2,1").canonical_form()
             == make_spider([2, 2, 1]).tree.canonical_form()
         )
+
+    @pytest.mark.parametrize(
+        "args,loaded",
+        [
+            (["dist", "--tree", "spider:2,3,1"], 1),
+            (["count", "--tree", "star:4", "--k", "1"], 1),
+            (["compare", "--left", "path:5", "--right", "spider:3,2"], 2),
+        ],
+    )
+    def test_exact_commands_root_a_shorthand_tree_once_at_a_centre(
+        self, runner, monkeypatch, args, loaded
+    ):
+        roots, reroot = [], trees.reroot
+        monkeypatch.setattr(trees, "reroot", lambda t, r: roots.append((t, r)) or reroot(t, r))
+        assert runner.invoke(main, args).exit_code == 0
+        assert len(roots) == len({id(t) for t, _ in roots}) == loaded
+        assert all(r in t._centres() for t, r in roots)
+
+    def test_sample_walks_a_shorthand_tree_from_vertex_0(self, runner, monkeypatch):
+        # the edges and the rooting of make_spider, which the seeded streams read
+        roots, reroot = [], trees.reroot
+        monkeypatch.setattr(trees, "reroot", lambda t, r: roots.append((t, r)) or reroot(t, r))
+        args = ["sample", "--tree", "spider:2,3,1", "--samples", "10", "--seed", "1"]
+        assert runner.invoke(main, args).exit_code == 0
+        (t, first), (_, centre) = roots
+        assert (t.edges, first) == (make_spider([2, 3, 1]).tree.edges, 0) and centre in t._centres()
 
     def test_file_input(self, tmp_path):
         f = tmp_path / "t.edges"
@@ -220,7 +246,7 @@ class TestCount:
 
     def test_the_tree_is_walked_for_its_diameter_once(self, runner, monkeypatch):
         # bounded_counts reads the diameter: the walk from 0 validates the
-        # path, roots it at 0 and finds one end of a longest path, one walk
+        # path and finds one end of a longest path, one walk
         # from that end finds the other, and one roots the path at its
         # centre for the DP
         walks, walk = [], Tree._walk

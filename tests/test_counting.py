@@ -11,6 +11,7 @@ from giraw.counting import (
     RootBranches,
     WalkModel,
     bounded_counts,
+    branch_keys,
     centre_diameter,
     count_bounded,
     endpoint_difference_distribution,
@@ -26,7 +27,6 @@ from giraw.counting import (
 from giraw.trees import (
     FREE_TREE_COUNTS,
     RootedTree,
-    SharedSubtrees,
     Tree,
     free_level_sequences,
     generate_free_trees,
@@ -40,6 +40,7 @@ from giraw.trees import (
 from fresh import run_python
 from oracles import (
     oracle_F,
+    oracle_is_spider,
     oracle_F_direct,
     oracle_f,
     oracle_path_range_counts,
@@ -120,11 +121,6 @@ class TestProfile:
                     prev = cur
 
 
-def memo_entries(t: Tree) -> int:
-    """Profiles stored in the memo of t's batch."""
-    return sum(len(d) for d in t.shared.profiles.values())
-
-
 def count_band_steps(monkeypatch) -> list:
     """A list that grows by one item per band_step call of the profile DP."""
     steps, band_step = [], counting.band_step
@@ -143,13 +139,22 @@ def engine_tables(monkeypatch) -> list:
     return tables
 
 
-def pushes(n: int, key: bytes) -> int:
-    """Bounds k at which RootBranches pushes the branch class of key: k < n - 1 - size + height.
+def reach(n: int, key: bytes) -> int:
+    """Bounds k < n - 1 - size + height at which a scan reads the branch class of key.
 
     A longest path meets the branch in at most its height of its size
     vertices, so no tree on n vertices that holds it reads a larger k.
     """
     return n - 1 - (len(key) + 1) + max(key, default=1)
+
+
+def pushes(n: int, key: bytes) -> int:
+    """Bounds k at which a scan's RootBranches pushes the class of key.
+
+    Those below its reach up to its first wall bound 2 height - 1, the
+    first k with k - k//2 >= height: from there on its row is its wall.
+    """
+    return min(reach(n, key), 2 * max(key, default=1))
 
 
 def path_steps(n: int, m: WalkModel) -> int:
@@ -182,27 +187,23 @@ class TestHalfProfiles:
                     assert transfer(a, k, m) == [full_width_push(r, a, m) for r in identity]
 
     @pytest.mark.parametrize("m", BOTH)
-    def test_the_memo_stores_half_profiles(self, m):
-        # the batch memo of profile and the scan engine's rows both hold
-        # F_0..F_(k//2) at each bound k
-        trees = list(generate_free_trees(10))
-        for t in trees:
-            for k in range(t.diameter()):
-                profile(reroot(t, 0), k, m)
-        assert memo_entries(trees[0]) > 0
-        for (k, _), pushed in trees[0].shared.profiles.items():
-            assert {len(p) for p in pushed.values()} <= {k // 2 + 1}
-        table = RootBranches(10, m)
+    def test_the_rows_store_half_profiles(self, m):
+        # a scan's table and a bounded one both hold F_0..F_(k//2) at each
+        # bound k, up to the class's reach or the table's bound
+        table, bounded = RootBranches(10, m), RootBranches(10, m, 15)
         for levels in free_level_sequences(10):
             table.split(levels)
+            bounded.split(levels)
         for key, b in table.items():
-            assert len(b.rows) == sum(k // 2 + 1 for k in range(pushes(10, key)))
+            assert len(b.rows) == sum(k // 2 + 1 for k in range(reach(10, key)))
+        assert {len(b.rows) for b in bounded.values()} == {sum(k // 2 + 1 for k in range(15))}
 
 
 class TestSharedProfiles:
     def test_returned_profile_is_a_fresh_list(self):
-        # rooted at a leaf, the generated star's root has one child, the
-        # centre, so the root's product is the centre's stored pushed profile
+        # rooted at a leaf, the star's root has one child, the centre, so
+        # the root's product is the centre's pushed profile, and its rows
+        # in a table
         star = list(generate_free_trees(5))[-1]
         a, b = reroot(star, 1), reroot(star, 2)
         want = profile(reroot(Tree(star.n, star.edges), 1), 3, LAZY)
@@ -210,14 +211,13 @@ class TestSharedProfiles:
             prof = profile(rt, 3, LAZY)
             assert prof == want
             prof[0] = -1
-        memo = star.shared.profiles[(3, LAZY)]
-        assert a.class_ids[a.root] == -1 and -1 not in memo
-        assert a.class_ids[0] in memo
+        table = RootBranches(5, LAZY, 4)
+        for _ in range(2):
+            profs = table.profiles(branch_keys(a))
+            assert profs[3] == want
+            profs[3][0] = profs[2][0] = -1
 
-    def test_deep_path_shares_nothing_and_a_scan_reuses(self, monkeypatch):
-        path = make_path(200).tree
-        range_distribution(path, STANDARD)
-        assert path.shared is None
+    def test_a_scan_reuses_its_branch_classes(self, monkeypatch):
         # the scan interns root branches, and most of the branches it meets
         # are classes it has met before
         tables = engine_tables(monkeypatch)
@@ -244,21 +244,47 @@ class TestSharedProfiles:
         assert len(fs) == FREE_TREE_COUNTS[10 - 1]
         assert len(steps) == sum(pushes(10, key) for key in table)
 
-    def test_shared_batch_matches_private_trees(self):
-        shared = SharedSubtrees()
-        for n in range(1, 9):
-            for t in generate_free_trees(n, shared):
-                for r in range(t.n):
-                    rt, alone = reroot(t, r), reroot(Tree(t.n, t.edges), r)
-                    for m in BOTH:
-                        for k in range(7):
-                            assert profile(rt, k, m) == profile(alone, k, m)
-        assert memo_entries(t) > 0
+    @pytest.mark.parametrize("m", BOTH)
+    def test_wall_rows_equal_pushed_rows(self, m):
+        # every class of every tree up to 12 vertices, in a scan's table and
+        # in a bounded one: the rows at and past the first wall bound equal
+        # a band step of the branches' product at each k
+        def pushed(key, k):
+            half = [1] * (k // 2 + 1)
+            for part in key.split(b"\x02")[1:]:
+                sub = pushed(part.translate(counting._LIFT), k)
+                half = [a * b for a, b in zip(half, sub)]
+            mirror = k - len(half)
+            return counting.band_step(half, m, half[mirror] if mirror >= 0 else 0)
+
+        for table in RootBranches(12, m), RootBranches(12, m, 17):
+            for n in range(1, 13):
+                for levels in free_level_sequences(n):
+                    table.split(levels)
+            ends = table.ends
+            for key, b in table.items():
+                for k in range(ends.index(len(b.rows))):
+                    assert b.rows[ends[k] : ends[k + 1]] == pushed(key, k)
+
+    def test_wall_copies_share_the_walls_ints(self):
+        # a branch of a vertex with nine leaves, 2 edges high: its wall is
+        # Q_0..Q_2 = 2^9, 2^9 + 1, 2^10, ints past CPython's small-int cache,
+        # and every row from k = 4 on holds those very objects
+        table = RootBranches(11, STANDARD, 40)
+        (broom,) = table.split([0, 1, *[2] * 9])
+        ends = table.ends
+        wall = broom.rows[ends[4] : ends[5]]
+        assert (broom.height, wall) == (2, [2**9, 2**9 + 1, 2**10])
+        for k in range(5, 40):
+            row = broom.rows[ends[k] : ends[k + 1]]
+            assert row == wall + [2**10] * (k // 2 - 2)
+            assert all(a is b for a, b in zip(row, wall + wall[-1:] * (k // 2 - 2)))
 
     @pytest.mark.parametrize("m", BOTH)
-    def test_a_batch_pushes_each_class_once(self, monkeypatch, m):
-        # one band step per (branch class, k it is read at) in each shard,
-        # besides the path's own DPs; two shards intern their classes apart
+    def test_a_table_pushes_each_class_once(self, monkeypatch, m):
+        # one band step per (branch class, k it is read at) up to its first
+        # wall bound in each shard, besides the path's own DPs; two shards
+        # intern their classes apart
         n, path = 12, path_steps(12, m)
         steps, tables = count_band_steps(monkeypatch), engine_tables(monkeypatch)
         monkeypatch.setattr(analysis, "_scan_workers", lambda n: 2)
@@ -323,17 +349,14 @@ class TestOneWallRows:
     @pytest.mark.parametrize("m", BOTH)
     def test_every_rooting_matches_the_engine(self, m):
         # the DP with one-wall rows, at every root of every tree up to 10
-        # vertices, in the trees' batch (whose walls later roots and smaller
-        # bounds meet) and alone, against the root-branch engine, which
-        # pushes every class at every bound
+        # vertices, against the root-branch engine at the centre
         for n in range(1, 11):
             table = RootBranches(n, m)
             for levels, t in zip(free_level_sequences(n), generate_free_trees(n)):
                 d = t.diameter()
                 want = table.f_vector(table.split(levels), d)[: d + 1]
                 for r in range(n):
-                    for rt in reroot(t, r), reroot(Tree(t.n, t.edges), r):
-                        assert rooted_classes(rt, d, m) == want
+                    assert rooted_classes(reroot(t, r), d, m) == want
 
     @pytest.mark.parametrize("m", BOTH)
     def test_every_rooting_matches_walk_enumeration(self, m):
@@ -369,7 +392,7 @@ class TestRootBranches:
                 assert d == rt.tree.diameter()
                 f = rooted_classes(rt, d, m)
                 assert table.f_vector(branches, d) == [*f, *f[-1:] * (n - len(f))]
-                assert is_spider(branches) == rt.tree.is_spider()
+                assert is_spider(branches) == oracle_is_spider(rt.tree)
 
     def test_a_branch_met_deeper_is_one_class(self):
         # an edge below a branch's top hangs from the root in the first tree

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from giraw.counting import branch_keys
 from giraw.trees import (
     DEFAULT_MAX_N,
     FREE_TREE_COUNTS,
-    SharedSubtrees,
     Tree,
     TreeError,
     TreeParseError,
@@ -21,7 +21,13 @@ from giraw.trees import (
     reroot,
 )
 
-from oracles import free_tree_classes_by_prufer, oracle_distances, tree_from_prufer
+from oracles import (
+    degrees,
+    free_tree_classes_by_prufer,
+    oracle_distances,
+    oracle_is_spider,
+    tree_from_prufer,
+)
 
 
 def labeled_trees(max_n: int = 8):
@@ -42,12 +48,12 @@ class TestParse:
 
     def test_star(self):
         t = parse_tree("0 1\n0 2\n0 3")
-        assert t.degrees()[0] == 3
+        assert degrees(t)[0] == 3
 
     def test_double_broom(self):
         t = parse_tree("0 1\n1 2\n2 3\n0 4\n0 5\n3 6\n3 7")
         assert t.n == 8
-        assert sorted(t.degrees(), reverse=True)[:2] == [3, 3]
+        assert sorted(degrees(t), reverse=True)[:2] == [3, 3]
         assert t.diameter() == 5
 
     def test_comments_and_blank_lines(self):
@@ -93,7 +99,7 @@ class TestConstructors:
         assert rt.n == n
         assert rt.root == 0
         if a > 0:
-            assert rt.tree.degrees()[rt.root] == 1
+            assert degrees(rt.tree)[rt.root] == 1
 
     def test_make_path_negative(self):
         with pytest.raises(TreeError):
@@ -105,12 +111,12 @@ class TestConstructors:
     def test_star(self):
         rt = make_star(3)
         assert rt.tree.n == 4
-        assert rt.tree.degrees()[rt.root] == 3
+        assert degrees(rt.tree)[rt.root] == 3
 
     def test_spider_21_is_path_rooted_inside(self):
         rt = make_spider([2, 1])
         assert rt.tree.canonical_form() == make_path(3).tree.canonical_form()
-        assert rt.tree.degrees()[rt.root] == 2
+        assert degrees(rt.tree)[rt.root] == 2
 
     def test_spider_rejects_empty_and_zero_legs(self):
         with pytest.raises(TreeError):
@@ -120,7 +126,7 @@ class TestConstructors:
 
     def test_spider_degree_shape(self):
         rt = make_spider([3, 2, 2])
-        deg = rt.tree.degrees()
+        deg = degrees(rt.tree)
         assert deg[rt.root] == 3
         assert all(d <= 2 for v, d in enumerate(deg) if v != rt.root)
 
@@ -190,36 +196,38 @@ class TestClassIds:
         assert len(set(ids)) == 3
 
     @staticmethod
-    def assert_ids_agree(edges, other_edges, perm, root):
+    def assert_keys_agree(edges, other_edges, perm):
         """Two edge lists of one tree, vertex v of the first being perm[v] of the
-        second, give every vertex the same id when built in one batch."""
-        shared = SharedSubtrees()
+        second, give the same branch keys at every root."""
         n = len(edges) + 1
-        a = reroot(Tree(n, tuple(edges), shared), root)
-        b = reroot(Tree(n, tuple(other_edges), shared), perm[root])
-        assert [b.class_ids[perm[v]] for v in range(n)] == list(a.class_ids)
+        a, b = Tree(n, tuple(edges)), Tree(n, tuple(other_edges))
+        for root in range(n):
+            assert branch_keys(reroot(b, perm[root])) == branch_keys(reroot(a, root))
 
     @given(labeled_trees(), st.data())
     @settings(max_examples=50)
-    def test_ids_agree_across_trees_and_relabelings(self, t, data):
-        root = data.draw(st.integers(0, t.n - 1))
+    def test_keys_agree_across_trees_and_relabelings(self, t, data):
         perm = data.draw(st.permutations(range(t.n)))
         relabeled = data.draw(st.permutations([(perm[u], perm[v]) for u, v in t.edges]))
-        self.assert_ids_agree(t.edges, relabeled, perm, root)
+        self.assert_keys_agree(t.edges, relabeled, perm)
 
-    def test_ids_agree_when_branches_are_visited_in_another_order(self):
+    def test_keys_agree_when_branches_are_visited_in_another_order(self):
         # root 0 with a 3-vertex path branch 1-2-3 and a cherry branch 4-{5,6}:
-        # listing the cherry first makes it the first branch visited, which
-        # gives the two trees different ids if each has a private table
+        # listing the cherry first makes it the first branch visited, and
+        # both lists give the path's key first, the canonical order
         path, cherry = [(0, 1), (1, 2), (2, 3)], [(0, 4), (4, 5), (4, 6)]
-        self.assert_ids_agree(path + cherry, cherry + path, range(7), 0)
+        self.assert_keys_agree(path + cherry, cherry + path, range(7))
+        assert branch_keys(reroot(Tree(7, tuple(cherry + path)), 0)) == [b"\x02\x03", b"\x02\x02"]
 
-    def test_trees_outside_a_batch_do_not_share(self):
-        a, b = make_path(3), make_path(3)
-        assert a.tree.shared is None and b.tree.shared is None
-        assert level_tree([0, 1, 2, 3]).tree.shared is None
-        trees = list(generate_free_trees(6))
-        assert all(t.shared is trees[0].shared for t in trees)
+    def test_ids_do_not_depend_on_other_rootings(self):
+        # every rooting interns into a table of its own, so the ids of one
+        # rooting are the same before and after other trees are rooted
+        star_at_leaf = reroot(make_star(3).tree, 1)
+        want = star_at_leaf.class_ids
+        for t in generate_free_trees(7):
+            for r in range(t.n):
+                reroot(t, r).class_ids
+        assert reroot(make_star(3).tree, 1).class_ids == want == (1, -1, 0, 0)
 
 
 def class_partition(ids) -> set[frozenset[int]]:
@@ -239,15 +247,12 @@ class TestLevelTree:
             assert rt.children == reroot(t, 0).children
             assert class_partition(rt.class_ids) == class_partition(reroot(t, 0).class_ids)
 
-    def test_a_batch_interns_exactly_the_subtrees_below_the_roots(self):
-        shared = SharedSubtrees()
-        rts = [level_tree(levels, shared) for levels in free_level_sequences(8)]
-        below = set()
-        for rt in rts:
-            assert rt.class_ids[0] == -1
-            below.update(rt.class_ids[1:])
-        assert below == set(shared.ids.values())
-        assert all(rt.tree.shared is shared for rt in rts)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_branch_keys_are_the_keys_split_reads(self, n):
+        # RootBranches.split keys a root's branches by the bytes between the
+        # depth-1 entries of the level sequence
+        for levels in free_level_sequences(n):
+            assert branch_keys(level_tree(levels)) == bytes(levels).split(b"\x01")[1:]
 
     @pytest.mark.parametrize(
         "levels", [[], [1], [0, 0], [0, 2], [0, 1, 3], [0, 1, 2, 1, 3], [0, 1, -1]]
@@ -304,12 +309,12 @@ class TestWalk:
 
 class TestShapePredicates:
     def test_paths_and_stars_are_spiders(self):
-        assert make_path(5).tree.is_spider()
-        assert make_star(4).tree.is_spider()
+        assert oracle_is_spider(make_path(5).tree)
+        assert oracle_is_spider(make_star(4).tree)
 
     def test_double_broom_is_not_spider(self):
         t = parse_tree("0 1\n1 2\n2 3\n0 4\n0 5\n3 6\n3 7")
-        assert not t.is_spider()
+        assert not oracle_is_spider(t)
 
     def test_diameter(self):
         assert make_path(6).tree.diameter() == 6
