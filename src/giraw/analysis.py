@@ -13,13 +13,14 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement, compress, count, islice
+from itertools import chain, combinations_with_replacement, compress, count, islice
 from operator import itemgetter, le, lt, sub
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .counting import (
     RootBranches,
     WalkModel,
+    _unfold,
     branch_keys,
     centre_diameter,
     fraction_text,
@@ -32,10 +33,10 @@ from .counting import (
 from .trees import (
     RootedTree,
     Tree,
+    _path_tree,
     free_level_sequences,
     generate_free_trees,
     level_tree,
-    make_path,
     reroot,
 )
 
@@ -165,7 +166,7 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
     if family not in ("all", "spiders"):
         raise ValueError(f"family must be 'all' or 'spiders', got {family!r}")
     free_level_sequences(n)  # checks n before the path is built
-    path_f = _padded(range_distribution(make_path(n - 1).tree, m).classes, n)
+    path_f = _padded(range_distribution(_path_tree(n - 1), m).classes, n)
     workers = _scan_workers(n)
     shard = partial(_scan_shard, n, m, family, path_f, shards=workers)
     parts = [shard(0)] if workers == 1 else _run_forked(shard, workers)
@@ -423,66 +424,112 @@ def check_spidersums(legs: list[int], k: int, m: WalkModel) -> LemmaCheckResult:
     )
 
 
-def _rises_to_centre(x: Sequence[int]) -> bool:
-    """Whether x_i <= x_j for all i < j <= k with i + j <= k, where k = len(x) - 1.
-
-    It holds iff x is nondecreasing on 0..k//2 and x_(k-j) <= x_j for every
-    j > k//2. Those steps and mirror pairs are pairs of the family, so they
-    are needed. They suffice: take i < j with i + j <= k. If j <= k//2, the
-    chain x_i <= ... <= x_j lies inside the nondecreasing half. Otherwise
-    i <= k - j <= k//2, so x_i <= x_(k-j) by that chain, and x_(k-j) <= x_j
-    is one mirror pair. No palindrome is assumed.
-
-    The family i < j <= k, i + j >= k, x_i >= x_j is this one for the
-    reversed sequence (x -> k - x maps each onto the other), so it holds iff
-    x is nonincreasing on ceil(k/2)..k and x_i >= x_(k-i) for every i < ceil(k/2).
-    """
-    k = len(x) - 1
-    half = k // 2
-    return all(map(le, x[:half], x[1 : half + 1])) and all(
-        map(le, reversed(x[: k - half]), x[half + 1 :])
-    )
-
-
-def _peaks_at_centre(x: Sequence[int]) -> bool:
-    """Whether x_i >= x_j whenever |i - k/2| <= |j - k/2|, where k = len(x) - 1.
-
-    These are the pairs of both families of _rises_to_centre, so it holds
-    iff x is a palindrome that is nondecreasing on 0..k//2. The mirror pairs
-    of the two families give x_(k-j) <= x_j and x_(k-j) >= x_j, hence the
-    palindrome. Mirroring i and j into 0..k//2 keeps their distances to k/2,
-    which leaves the nondecreasing half.
-    """
-    half = (len(x) - 1) // 2
-    return x == x[::-1] and all(map(le, x[:half], x[1 : half + 1]))
-
-
 def center_violations(rt: RootedTree, k: int, m: WalkModel) -> list[tuple[int, int]]:
     """Pairs (i, j) with |i-k/2| <= |j-k/2| but F_i < F_j for this rooted tree."""
     return _centre_pairs(profile(rt, k, m))
 
 
 def _centre_pairs(prof: list[int]) -> list[tuple[int, int]]:
-    """center_violations of F_0..F_k, listed only for a profile that fails _peaks_at_centre."""
+    """center_violations of F_0..F_k, every pair in (i, j) order."""
     k = len(prof) - 1
-    if _peaks_at_centre(prof):
-        return []
-    bad = []
-    for i in range(k + 1):
-        for j in range(k + 1):
-            if abs(2 * i - k) <= abs(2 * j - k) and prof[i] < prof[j]:
-                bad.append((i, j))
-    return bad
+    return [
+        (i, j)
+        for i in range(k + 1)
+        for j in range(k + 1)
+        if abs(2 * i - k) <= abs(2 * j - k) and prof[i] < prof[j]
+    ]
 
 
-def _rooted_profiles(n_max: int, bound: int, m: WalkModel) -> Iterator[tuple[str, list[list[int]]]]:
-    """Every rooting of every free tree up to n_max vertices, and its profiles at each k < bound."""
+def _nondecreasing(x: Sequence[int]) -> bool:
+    """Whether x_0 <= x_1 <= ... <= x_(len(x) - 1)."""
+    return all(map(le, x, x[1:]))
+
+
+def _centre_fails(rows: list[list[int]]) -> list[int]:
+    """The bounds k at which a root profile fails centre-monotonicity, from its half rows.
+
+    rows[k] is H_k = F_0^k..F_(k//2)^k. An engine profile is a palindrome,
+    F_i^k = F_(k-i)^k (band_step), and so F_i^k >= F_j^k whenever
+    |i - k/2| <= |j - k/2| iff H_k is nondecreasing: mirroring i and j into
+    0..k//2 keeps their distances to k/2.
+    """
+    return [k for k, half in enumerate(rows) if not _nondecreasing(half)]
+
+
+def _difference_fails(rows: list[list[int]]) -> list[int]:
+    """The bounds k < len(rows) - 1 at which the difference lemma fails, from half rows.
+
+    rows[k] is H_k = F_0^k..F_(k//2)^k, and every F^k is a palindrome
+    (band_step). The below-center form of _difference_violations says
+    that F^k and g = F^(k+1) - F^k on 0..k rise to the centre, and the
+    above-center form that F^k and h_x = F^(k+1)_(x+1) - F^k_x fall from it.
+    On palindromes:
+    - F^k rises to the centre and falls from it iff H_k is nondecreasing
+      (_centre_fails).
+    - Reversed, h_x = F^(k+1)_(x+1) - F^k_x is g = F^(k+1) - F^k on 0..k:
+      h_(k-x) = F^(k+1)_(k+1-x) - F^k_(k-x) = F^(k+1)_x - F^k_x. So the
+      above-center family repeats the below-center one.
+    - g rises to the centre iff it is nondecreasing on 0..k//2, where it is
+      H_(k+1) - H_k, and g_(k-j) <= g_j for every j > k//2: a pair
+      i < j, i + j <= k is a chain inside that half, or for j > k//2 the
+      chain up to k - j >= i, then one mirror pair. As
+      g_(k-j) = F^(k+1)_(j+1) - F^k_j, each mirror pair says
+      F^(k+1)_(j+1) <= F^(k+1)_j, and mirrored by x -> k + 1 - x these
+      say that H_(k+1) is nondecreasing.
+    So the lemma holds at k iff H_k, H_(k+1) and H_(k+1) - H_k on
+    0..k//2 are nondecreasing.
+    """
+    rising = list(map(_nondecreasing, rows))
+    return [
+        k
+        for k in range(len(rows) - 1)
+        if not (rising[k] and rising[k + 1] and _nondecreasing(list(map(sub, rows[k + 1], rows[k]))))
+    ]
+
+
+def _spider_keys(legs: list[int]) -> tuple[bytes, ...]:
+    """The root branch keys of a spider rooted at its branch vertex, sorted as branch_keys sorts them.
+
+    A leg of a edges is a chain, depths 2..a below its top at depth 1. A
+    key byte holds a depth, so a <= 255. A path of a >= 1 edges rooted at
+    an end is the spider [a], and a = 0 the empty spider.
+    """
+    if max(legs, default=0) > 255:
+        raise ValueError(f"a path or leg in the lemma grids has at most 255 edges, got {max(legs)}")
+    return tuple(sorted([bytes(range(2, a + 1)) for a in legs], reverse=True))
+
+
+def _rootings(n_max: int) -> Iterator[tuple[str, tuple[bytes, ...]]]:
+    """Every rooting of every free tree up to n_max vertices: its label and its root's branch keys."""
     free_level_sequences(n_max)  # checks n_max before the first tree
-    table = RootBranches(n_max, m, bound)
     for n in range(1, n_max + 1):
         for idx, t in enumerate(generate_free_trees(n)):
             for r in range(t.n):
-                yield f"n={n},tree={idx},root={r}", table.profiles(branch_keys(reroot(t, r)))
+                yield f"n={n},tree={idx},root={r}", tuple(branch_keys(reroot(t, r)))
+
+
+def _lemma_grid(
+    cases: Iterable[tuple[str, tuple[bytes, ...]]],
+    table: RootBranches,
+    k_max: int,
+    failures: Callable[[str, list[list[int]]], list[tuple]],
+) -> tuple[int, tuple[tuple, ...]]:
+    """Cases checked and counterexamples of a grid of (label, root branch keys), k_max + 1 cases each.
+
+    A root profile depends only on the rooted tree, so each distinct one,
+    keyed by its sorted branch keys, is decided once on the table's half
+    rows: failures(label, rows) lists a failing class's counterexamples
+    under the label of its first case. Every case of the class adds them
+    under its own label, in the same order.
+    """
+    found: dict[tuple[bytes, ...], list[tuple]] = {}
+    checked, ces = 0, []
+    for label, keys in cases:
+        if keys not in found:
+            found[keys] = failures(label, table.half_rows(keys))
+        checked += k_max + 1
+        ces += [(label, *c[1:]) for c in found[keys]]
+    return checked, tuple(ces)
 
 
 def check_center_monotone(
@@ -493,27 +540,28 @@ def check_center_monotone(
     Always checks endpoint-rooted paths up to a_max edges. With tree_n_max > 0
     also checks every rooted tree up to that size (valid for the lazy model;
     in the standard model tree-level checks are expected to fail, e.g. a star
-    rooted at a leaf).
+    rooted at a leaf). Each rooted class is decided once (_lemma_grid) on
+    one RootBranches table with rows for k <= k_max (_centre_fails); the
+    pairs of a failing k are listed by _centre_pairs.
     """
-    cases = 0
-    ces: list[tuple] = []
-    for a in range(a_max + 1):
-        path = make_path(a)  # one rooting, and its walls, for every bound
-        for k in range(k_max + 1):
-            cases += 1
-            for i, j in center_violations(path, k, m):
-                ces.append((f"path a={a}", k, i, j))
-    if tree_n_max > 0:
-        for label, profs in _rooted_profiles(tree_n_max, k_max + 1, m):
-            for k, prof in enumerate(profs):
-                cases += 1
-                for i, j in _centre_pairs(prof):
-                    ces.append((label, k, i, j))
+    cases = [(f"path a={a}", _spider_keys([a] if a else [])) for a in range(a_max + 1)]
+
+    def failures(label: str, rows: list[list[int]]) -> list[tuple]:
+        return [
+            (label, k, i, j) for k in _centre_fails(rows) for i, j in _centre_pairs(_unfold(rows[k], k))
+        ]
+
+    checked, ces = _lemma_grid(
+        chain(cases, _rootings(tree_n_max) if tree_n_max > 0 else ()),
+        RootBranches(1, m, k_max + 1),  # n sizes only f vectors, which a grid does not read
+        k_max,
+        failures,
+    )
     return LemmaCheckResult(
         lemma="center-monotone",
         grid=f"a<={a_max}, k<={k_max}, tree_n<={tree_n_max}, model={m.value}",
-        cases_checked=cases,
-        counterexamples=tuple(ces),
+        cases_checked=checked,
+        counterexamples=ces,
     )
 
 
@@ -527,16 +575,9 @@ def _difference_violations(
     Above-center form (i < j <= k, i+j >= k):
         0 <= F_i^k - F_j^k <= F_(i+1)^(k+1) - F_(j+1)^(k+1)
 
-    The below-center form says that F^k and g = F^(k+1) - F^k on 0..k each
-    rise to the centre (_rises_to_centre), and the above-center form that
-    F^k and h_x = F^(k+1)_(x+1) - F^k_x each fall from it (_rises_to_centre
-    of the reversed sequence). For F^k the two together are _peaks_at_centre.
-    The pairs are listed only for a profile pair that fails one of the three.
+    Every failing pair is listed, in (i, j) order; the grids call this only
+    for a k that _difference_fails names.
     """
-    g = list(map(sub, prof_k1, prof_k))
-    h = list(map(sub, prof_k1[1:], prof_k))
-    if _peaks_at_centre(prof_k) and _rises_to_centre(g) and _rises_to_centre(h[::-1]):
-        return []
     bad = []
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
@@ -571,36 +612,36 @@ def check_difference_monotone(
 
     Standard model: endpoint-rooted paths and center-rooted spiders.
     Lazy model: those plus every rooted tree up to tree_n_max vertices.
-    Each case's profiles at k = 0..k_max + 1 are computed once each: the
-    bound k + 1 profile of one k is the bound k profile of the next.
+    Each rooted class is decided once (_lemma_grid) on one RootBranches
+    table with rows for k <= k_max + 1 (_difference_fails); the pairs of a
+    failing k are listed by _difference_violations.
     """
-    cases = 0
-    ces: list[tuple] = []
+    cases = [(f"path a={a}", _spider_keys([a] if a else [])) for a in range(a_max + 1)] + [
+        (f"spider {legs}", _spider_keys(legs)) for legs in iter_spider_leg_lists(max_legs, max_leg_len)
+    ]
 
-    def run(label: str, prof_fn) -> None:
-        nonlocal cases
-        prof_k = prof_fn(0)
-        for k in range(k_max + 1):
-            cases += 1
-            prof_k1 = prof_fn(k + 1)
-            ces.extend(_difference_violations(label, prof_k, prof_k1, k))
-            prof_k = prof_k1
+    def failures(label: str, rows: list[list[int]]) -> list[tuple]:
+        return [
+            c
+            for k in _difference_fails(rows)
+            for c in _difference_violations(label, _unfold(rows[k], k), _unfold(rows[k + 1], k + 1), k)
+        ]
 
-    for a in range(a_max + 1):
-        run(f"path a={a}", lambda k, a=a: path_profile(a, k, m))
-    for legs in iter_spider_leg_lists(max_legs, max_leg_len):
-        run(f"spider {legs}", lambda k, legs=legs: spider_profile(legs, k, m))
-    if m is WalkModel.LAZY and tree_n_max > 0:
-        for label, profs in _rooted_profiles(tree_n_max, k_max + 2, m):
-            run(label, profs.__getitem__)
+    trees = m is WalkModel.LAZY and tree_n_max > 0
+    checked, ces = _lemma_grid(
+        chain(cases, _rootings(tree_n_max) if trees else ()),
+        RootBranches(1, m, k_max + 2),  # n sizes only f vectors, which a grid does not read
+        k_max,
+        failures,
+    )
     return LemmaCheckResult(
         lemma="difference-monotone",
         grid=(
             f"a<={a_max}, k<={k_max}, spiders<=({max_legs} legs x {max_leg_len}), "
             f"tree_n<={tree_n_max if m is WalkModel.LAZY else 0}, model={m.value}"
         ),
-        cases_checked=cases,
-        counterexamples=tuple(ces),
+        cases_checked=checked,
+        counterexamples=ces,
     )
 
 

@@ -304,6 +304,8 @@ def verify_lemmas(
             raise click.ClickException(f"{name} must be >= 0, got {value}")
     if tree_n_max > DEFAULT_MAX_N:  # the generator's cap
         raise click.ClickException(f"--tree-n-max must be <= {DEFAULT_MAX_N}, got {tree_n_max}")
+    if a_max > 255:  # a path's branch key holds each depth in one byte
+        raise click.ClickException(f"--a-max must be <= 255, got {a_max}")
     reads_k = lemma in ("spidersums", "summand-comparison")  # the lemmas that read --k
     if reads_k and k < 0:
         raise click.ClickException(f"--k must be >= 0, got {k}")

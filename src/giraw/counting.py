@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .trees import RootedTree, Tree
 
@@ -258,11 +258,11 @@ class RootBranches(dict):
         branch = self[key] = Branch(height, forks, rows)
         return branch
 
-    def profiles(self, keys: list[bytes]) -> list[list[int]]:
-        """Root profiles F_0^k..F_k^k, each k below the bound, of a root with these branch keys."""
+    def half_rows(self, keys: Iterable[bytes]) -> list[list[int]]:
+        """Root half profiles F_0^k..F_(k//2)^k, each k below the bound, of a root with these branch keys."""
         rows = [self[key].rows for key in keys] or [[1] * self.ends[-1]]
         prod = list(reduce(partial(map, operator.mul), rows))
-        return [_unfold(prod[a:b], k) for k, (a, b) in enumerate(zip(self.ends, self.ends[1:]))]
+        return [prod[a:b] for a, b in zip(self.ends, self.ends[1:])]
 
     def f_vector(self, branches: list[Branch], d: int) -> list[int]:
         """f^0..f^(n-1) of the tree whose root has these branches and whose diameter is d.

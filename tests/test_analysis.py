@@ -26,7 +26,7 @@ from giraw.analysis import (
     scan_against_path,
     spidersums_sides,
 )
-from giraw import counting
+from giraw import counting, trees
 from giraw.counting import RootBranches, WalkModel, profile, range_distribution
 from giraw.trees import (
     FREE_TREE_COUNTS,
@@ -142,6 +142,11 @@ class TestCompareRange:
         assert ks == list(range(0, 4 + 2))
 
 
+def star_tree(leaves: int) -> Tree:
+    """The star of make_star, unrooted, to stand in for the scan's path."""
+    return make_star(leaves).tree
+
+
 class TestScan:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_lazy_all_trees_dominated(self, n):
@@ -178,7 +183,7 @@ class TestScan:
     def test_violations_match_the_tail_comparison(self, monkeypatch, m, family):
         # no tree beats the path, so the star stands in as a reference with
         # lower tails; the scan must report what comparing tails reports
-        monkeypatch.setattr(analysis, "make_path", make_star)
+        monkeypatch.setattr(analysis, "_path_tree", star_tree)
         for n in range(3, 10):
             star = range_distribution(make_star(n - 1).tree, m)
             want = []
@@ -193,6 +198,13 @@ class TestScan:
             assert [v.tree.edges for v in got] == [v.tree.edges for v in want]
             assert list(got) == want
             assert n < 5 or want
+
+    def test_the_path_is_rooted_once(self, monkeypatch):
+        # at its centre, for its f vector; no rooting at vertex 0 comes first
+        roots = []
+        monkeypatch.setattr(trees, "reroot", lambda t, r, fn=trees.reroot: roots.append(r) or fn(t, r))
+        scan_against_path(9, LAZY)
+        assert roots == [4]
 
     def test_json_shape(self):
         blob = scan_against_path(5, LAZY, "all").to_json_dict()
@@ -226,7 +238,7 @@ class TestScanShards:
         # with the star as reference the violation lists are long, so their
         # order across shards is checked too
         if reference == "star":
-            monkeypatch.setattr(analysis, "make_path", make_star)
+            monkeypatch.setattr(analysis, "_path_tree", star_tree)
         for n in range(1 if reference == "path" else 3, 13):
             in_process_shards(monkeypatch, 1)
             want = scan_against_path(n, m, family)
@@ -499,14 +511,12 @@ class TestCenterMonotone:
         assert result.cases_checked == len(cases) * 8 == 1176
         assert list(result.counterexamples) == want and len(want) == 134
 
-    def test_each_path_is_built_once(self, monkeypatch):
-        # one rooting, and its walls, serve every bound
-        built = Counter()
-        monkeypatch.setattr(
-            analysis, "make_path", lambda a, fn=make_path: built.update([a]) or fn(a)
-        )
+    def test_each_path_is_decided_once(self, monkeypatch):
+        # one chain class per path, its rows at every bound from one table
+        products = count_row_products(monkeypatch)
+        forbid_profile_dps(monkeypatch)
         assert check_center_monotone(24, 24, LAZY).cases_checked == 25 * 25
-        assert built == Counter(range(25))
+        assert products == [(bytes(range(2, a + 1)),) if a else () for a in range(25)]
 
     @given(st.randoms(use_true_random=False), st.integers(0, 14))
     @settings(max_examples=300, deadline=None)
@@ -532,21 +542,58 @@ class TestCenterMonotone:
             check_center_monotone(0, 0, LAZY, tree_n_max=23)
 
 
-class TestRootedProfiles:
-    @pytest.mark.parametrize("m", BOTH)
-    def test_every_rooting_matches_its_profile_dp(self, m):
-        # every rooting of every free tree up to 8 vertices, in the order
-        # the grids label them, at every k <= 12
-        rooted = [
+def count_row_products(monkeypatch) -> list:
+    """A list that grows by the branch keys of each RootBranches.half_rows call."""
+    products, half_rows = [], RootBranches.half_rows
+    monkeypatch.setattr(
+        RootBranches, "half_rows", lambda table, keys: products.append(keys) or half_rows(table, keys)
+    )
+    return products
+
+
+def forbid_profile_dps(monkeypatch) -> None:
+    """Fail the test on any per-case profile DP the analysis module could call."""
+    for name in ("profile", "path_profile", "spider_profile"):
+        monkeypatch.setattr(analysis, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+
+
+def grid_cases(n_max: int, paths: range, spiders: list[list[int]]) -> list[tuple]:
+    """(label, rooted tree) of the grids' paths, spiders and every rooting up to n_max vertices."""
+    return (
+        [(f"path a={a}", make_path(a)) for a in paths]
+        + [(f"spider {legs}", make_spider(legs)) for legs in spiders]
+        + [
             (f"n={n},tree={idx},root={r}", reroot(t, r))
-            for n in range(1, 9)
+            for n in range(1, n_max + 1)
             for idx, t in enumerate(generate_free_trees(n))
             for r in range(n)
         ]
-        got = list(analysis._rooted_profiles(8, 13, m))
-        assert [label for label, _ in got] == [label for label, _ in rooted]
-        for (_, profs), (_, rt) in zip(got, rooted):
-            assert profs == [profile(rt, k, m) for k in range(13)]
+    )
+
+
+def grid_rows(n_max: int, paths: range, spiders: list[list[int]], bound: int, m: WalkModel):
+    """(label, half rows H_0..H_(bound-1)) of each case of grid_cases, from one bounded table."""
+    table = RootBranches(1, m, bound)
+    cases = (
+        [(f"path a={a}", analysis._spider_keys([a] if a else [])) for a in paths]
+        + [(f"spider {legs}", analysis._spider_keys(legs)) for legs in spiders]
+        + list(analysis._rootings(n_max))
+    )
+    return [(label, table.half_rows(keys)) for label, keys in cases]
+
+
+class TestRootedProfiles:
+    @pytest.mark.parametrize("m", BOTH)
+    def test_every_rooting_matches_its_profile_dp(self, m):
+        # every path, spider and rooting the grids read, in the order they
+        # label them, at every k <= 12: a table's half rows are the halves
+        # of the profile DP at the case's own root
+        spiders = list(analysis.iter_spider_leg_lists(3, 3))
+        got = grid_rows(8, range(13), spiders, 13, m)
+        cases = grid_cases(8, range(13), spiders)
+        assert [label for label, _ in got] == [label for label, _ in cases]
+        for (_, rows), (_, rt) in zip(got, cases):
+            assert rows == [profile(rt, k, m)[: k // 2 + 1] for k in range(13)]
 
     def test_the_grids_push_each_class_once(self, monkeypatch):
         # the deep benchmark's lazy difference grid: each subtree class is
@@ -559,11 +606,31 @@ class TestRootedProfiles:
         monkeypatch.setattr(
             analysis, "RootBranches", lambda n, m, bound: tables.append(make(n, m, bound)) or tables[-1]
         )
-        for _ in analysis._rooted_profiles(8, 26, LAZY):
-            pass
+        assert check_difference_monotone(LAZY, a_max=24, k_max=24, tree_n_max=8).ok
         (table,) = tables
-        assert len(table) == 1 + 1 + 2 + 4 + 9 + 20 + 48  # rooted trees on 1..7 vertices
-        assert len(steps) == sum(min(26, 2 * b.height) for b in table.values()) == 670
+        # rooted trees on 1..7 vertices, and the chains of the paths past them
+        assert len(table) == 1 + 1 + 2 + 4 + 9 + 20 + 48 + (24 - 7)
+        assert len(steps) == sum(min(26, 2 * b.height) for b in table.values()) == 1082
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_half_row_rules_agree_with_the_oracles(self, m):
+        # every rooting up to 8 vertices, paths up to 12 edges and the
+        # default spiders at k <= 12: each rule holds exactly when the
+        # all-pairs oracle lists no pair
+        spiders = list(analysis.iter_spider_leg_lists(3, 3))
+        failing = Counter()
+        for label, rows in grid_rows(8, range(13), spiders, 14, m):
+            profs = [counting._unfold(row, k) for k, row in enumerate(rows)]
+            centre, difference = analysis._centre_fails(rows[:13]), analysis._difference_fails(rows)
+            for k in range(13):
+                assert (k in centre) == bool(oracle_center_violations(profs[k]))
+                listed = oracle_difference_violations(label, profs[k], profs[k + 1], k)
+                assert (k in difference) == bool(listed)
+            failing.update(centre=len(centre), difference=len(difference))
+        if m is LAZY:
+            assert failing == Counter()
+        else:
+            assert failing["centre"] > 0 and failing["difference"] > 0
 
 
 class TestDifferenceMonotone:
@@ -578,31 +645,23 @@ class TestDifferenceMonotone:
         assert check_difference_monotone(LAZY, a_max=4, k_max=5, tree_n_max=6).ok
 
     def test_each_profile_is_computed_once(self, monkeypatch):
-        # k_max + 1 cases per path, spider or rooted tree read k_max + 2
-        # profiles; a rooting's come from one product of its branches' rows
-        calls = Counter()
-        for name in ("path_profile", "spider_profile"):
-            fn = getattr(analysis, name)
-            monkeypatch.setattr(
-                analysis, name, lambda x, k, m, fn=fn: calls.update([(fn.__name__, str(x), k)]) or fn(x, k, m)
-            )
-        rootings, profiles = [], RootBranches.profiles
-        monkeypatch.setattr(
-            RootBranches, "profiles", lambda table, bs: rootings.append(profiles(table, bs)) or rootings[-1]
-        )
-        monkeypatch.setattr(analysis, "profile", lambda *args: pytest.fail("a per-rooting DP ran"))
-        k_max = 4
-        result = check_difference_monotone(LAZY, a_max=3, k_max=k_max, max_legs=0, tree_n_max=5)
-        runs = Counter((name, x) for name, x, _ in calls)
-        assert set(calls.values()) == {1}
-        assert set(runs.values()) == {k_max + 2}
-        assert len(rootings) == 1 + 2 + 3 + 2 * 4 + 3 * 5
-        assert {len(profs) for profs in rootings} == {k_max + 2}
-        assert result.cases_checked == (len(runs) + len(rootings)) * (k_max + 1)
-        calls.clear()
+        # one row product per distinct rooted class, however many paths,
+        # spiders and rootings have it, and no per-case profile DP
+        products = count_row_products(monkeypatch)
+        forbid_profile_dps(monkeypatch)
+        k_max, rootings = 4, 1 + 2 + 3 + 2 * 4 + 3 * 5
+        for check in (
+            lambda: check_difference_monotone(LAZY, a_max=3, k_max=k_max, max_legs=0, tree_n_max=5),
+            lambda: check_center_monotone(3, k_max, LAZY, tree_n_max=5),
+        ):
+            products.clear()
+            result = check()
+            assert len(products) == len(set(products)) == 1 + 1 + 2 + 4 + 9  # rooted trees on 1..5 vertices
+            assert result.cases_checked == (4 + rootings) * (k_max + 1)
+        products.clear()
         result = check_difference_monotone(STANDARD, a_max=0, k_max=k_max, max_legs=2, max_leg_len=2)
-        spiders = Counter(x for name, x, _ in calls if name == "spider_profile")
-        assert set(spiders.values()) == {k_max + 2} and len(spiders) == 5
+        assert products == [(), (b"",), (b"\x02",), (b"", b""), (b"\x02", b""), (b"\x02", b"\x02")]
+        assert result.cases_checked == 6 * (k_max + 1)
 
     @given(st.randoms(use_true_random=False), st.integers(0, 14))
     @settings(max_examples=300, deadline=None)
@@ -623,13 +682,17 @@ class TestDifferenceMonotone:
         assert all(0 < passed[k] < 300 for k in range(1, 15)) and passed[0] == 300
 
     def test_standard_rootings_list_the_oracle_pairs(self):
-        # the lemma is for the lazy model; standard-model rootings fail it
+        # the lemma is for the lazy model; standard-model rootings fail it,
+        # the half-row rule says so, and the failing k's list the oracle pairs
         failing, cases = [], 0
-        for label, prof in analysis._rooted_profiles(6, 9, STANDARD):
+        for label, rows in grid_rows(6, range(0), [], 9, STANDARD):
+            fails = analysis._difference_fails(rows)
             for k in range(8):
                 cases += 1
-                listed = analysis._difference_violations(label, prof[k], prof[k + 1], k)
-                assert listed == oracle_difference_violations(label, prof[k], prof[k + 1], k)
+                prof_k, prof_k1 = counting._unfold(rows[k], k), counting._unfold(rows[k + 1], k + 1)
+                listed = analysis._difference_violations(label, prof_k, prof_k1, k)
+                assert listed == oracle_difference_violations(label, prof_k, prof_k1, k)
+                assert (k in fails) == bool(listed)
                 if listed:
                     failing.append((label, k))
         assert cases == 520 and len(failing) == 55

@@ -442,6 +442,13 @@ class TestVerifyLemmas:
         )
         assert (res.exit_code, res.output) == (1, "Error: --tree-n-max must be <= 22, got 23\n")
 
+    @pytest.mark.parametrize("lemma", ["center-monotone", "difference-monotone"])
+    def test_a_path_past_the_one_byte_depth_key_names_the_option(self, runner, lemma):
+        res = runner.invoke(main, ["verify-lemmas", "--lemma", lemma, "--a-max", "256", "--k-max", "1"])
+        assert (res.exit_code, res.output) == (1, "Error: --a-max must be <= 255, got 256\n")
+        res = runner.invoke(main, ["verify-lemmas", "--lemma", lemma, "--a-max", "255", "--k-max", "1"])
+        assert res.exit_code == 0 and json.loads(res.output)["cases_checked"] > 256
+
     @pytest.mark.parametrize(
         "lemma, reads_k",
         [("spidersums", True), ("summand-comparison", True),

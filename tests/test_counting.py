@@ -213,9 +213,9 @@ class TestSharedProfiles:
             prof[0] = -1
         table = RootBranches(5, LAZY, 4)
         for _ in range(2):
-            profs = table.profiles(branch_keys(a))
-            assert profs[3] == want
-            profs[3][0] = profs[2][0] = -1
+            rows = table.half_rows(branch_keys(a))
+            assert rows[3] == want[:2]
+            rows[3][0] = rows[2][0] = -1
 
     def test_a_scan_reuses_its_branch_classes(self, monkeypatch):
         # the scan interns root branches, and most of the branches it meets
