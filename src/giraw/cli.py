@@ -378,6 +378,10 @@ def sample(
         for name, x in (("--u", u), ("--v", v)):
             if not 0 <= x < t.n:
                 raise click.ClickException(f"{name} must be in [0, {t.n}), got {x}")
+    else:
+        for name, x in (("--u", u), ("--v", v)):
+            if x is not None:
+                raise click.ClickException(f"{name} applies only to --stat pair")
     try:
         if stat == "range":
             rep = sampling.estimate_expected_range(t, m, samples, seed)

@@ -559,6 +559,15 @@ class TestSample:
         )
         assert (res.exit_code, res.output) == (1, f"Error: {option} must be in [0, 4), got {value}\n")
 
+    @pytest.mark.parametrize(
+        "vertices, option", [(["--u", "7"], "--u"), (["--v", "0"], "--v"), (["--u", "0", "--v", "1"], "--u")]
+    )
+    def test_vertices_with_the_range_stat_name_the_option(self, runner, vertices, option):
+        res = runner.invoke(
+            main, ["sample", "--tree", "path:3", "--seed", "1", "--samples", "20", *vertices]
+        )
+        assert (res.exit_code, res.output) == (1, f"Error: {option} applies only to --stat pair\n")
+
     def test_deterministic(self, runner):
         args = ["sample", "--tree", "star:4", "--samples", "500", "--seed", "17"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ from giraw.sampling import (
     WalkSampler,
     _mean_report,
     _per_walk,
+    _words,
     estimate_expected_range,
     estimate_pair_distance,
 )
@@ -35,13 +37,58 @@ def walk_range(x: np.ndarray) -> np.ndarray:
 
 
 class FixedDraws:
-    """Stands in for a sampler's generator: every walk takes the same draws."""
+    """Stands in for a sampler's generator: every walk takes the same draws.
 
-    def __init__(self, row: np.ndarray):
-        self.row = row
+    It is its own bit generator. Its raw outputs carry, low word first, one
+    word a draw that integers(0, s) maps to that draw, walk after walk.
+    """
 
-    def integers(self, low, high, size):
-        return np.broadcast_to(self.row, size).copy()
+    def __init__(self, row: np.ndarray, s: int):
+        # the middle of each draw's word interval, never the skipped word 0
+        self.words = itertools.cycle((((2 * d + 1) << 32) // (2 * s) for d in row.tolist()))
+        self.bit_generator = self
+        self.state = {"has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, size):
+        words = [next(self.words) for _ in range(2 * size)]
+        return np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], dtype=np.uint64)
+
+
+class RecordedRaw:
+    """A generator whose bit generator records the size of each random_raw call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.bit_generator, self.inner, self.sizes = self, rng.bit_generator, []
+
+    @property
+    def state(self):
+        return self.inner.state
+
+    @state.setter
+    def state(self, value):
+        self.inner.state = value
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.inner.random_raw(size)
+
+
+# PCG64 steps its 128-bit state N to N M + inc mod 2^128, then outputs
+# rotr64(hi ^ lo, hi >> 58) of the new state's halves
+PCG64_M = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_state_before(raw: int, has_uint32: int = 0, uinteger: int = 0) -> dict:
+    """A PCG64 state whose next raw output is raw, with the given buffered half-word."""
+    state = np.random.default_rng(0).bit_generator.state
+    hi = 0x9E3779B97F4A7C15
+    r = hi >> 58
+    x = (raw << r | raw >> (64 - r)) & (2**64 - 1)  # rotl64, so rotr64 gives raw back
+    after = hi << 64 | (hi ^ x)  # raw = 0 gives equal halves
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (after - inc) * pow(PCG64_M, -1, 2**128) % 2**128
+    state.update(has_uint32=has_uint32, uinteger=uinteger)
+    return state
 
 
 class TestSampleWalk:
@@ -119,11 +166,81 @@ class TestNarrowLabels:
         top = m.steps_per_edge - 1
         row = np.array([top if v > parent else 0 for v, parent in rt.preorder_with_parent()[1:]])
         sampler = WalkSampler(rt, m, seed=0)
-        sampler._rng = FixedDraws(row)
+        sampler._rng = FixedDraws(row, m.steps_per_edge)
         labels = sampler.sample_labels(2)
         assert np.array_equal(labels, int64_labels(rt, m, np.tile(row, (2, 1))))
         assert walk_range(labels).tolist() == [n - 1] * 2
         assert np.abs(labels[:, 0] - labels[:, n - 1]).tolist() == [n - 1] * 2
+
+
+class TestRawWords:
+    """The draws are read from PCG64's raw words, the stream integers(0, s) maps."""
+
+    @pytest.mark.parametrize("word_block", [sampling.WORD_BLOCK, 5])
+    @pytest.mark.parametrize("m", [STANDARD, LAZY])
+    @pytest.mark.parametrize(
+        "rt", [make_path(1), make_path(4), make_path(5), make_star(6), make_spider([3, 2, 2])]
+    )
+    def test_draws_equal_integers(self, monkeypatch, rt, m, word_block):
+        # n - 1 is odd or even, and so is a draw's word count: an odd one
+        # leaves a half-word buffered for the next draw, which reads it first
+        monkeypatch.setattr(sampling, "WORD_BLOCK", word_block)
+        s = m.steps_per_edge
+        for seed in 0, 1, 2:
+            sampler, oracle = WalkSampler(rt, m, seed), np.random.default_rng(seed)
+            for count in 1, 3, 1, 250, 7:
+                want = int64_labels(rt, m, oracle.integers(0, s, size=(count, rt.n - 1)))
+                assert np.array_equal(sampler.sample_labels(count), want)
+                assert sampler._rng.bit_generator.state == oracle.bit_generator.state
+            # the generator goes on as the oracle's does, whatever it draws next
+            assert np.array_equal(sampler._rng.integers(0, 7, size=9), oracle.integers(0, 7, size=9))
+            assert np.array_equal(sampler._rng.integers(0, s, size=5), oracle.integers(0, s, size=5))
+
+    def test_words_are_read_low_word_first_on_either_byte_order(self):
+        raw = np.random.default_rng(3).bit_generator.random_raw(5)
+        want = np.ravel(np.column_stack([raw & 0xFFFFFFFF, raw >> 32]))
+        assert np.array_equal(_words(raw), want)
+        assert np.array_equal(_words(raw.astype(">u8")), want)  # as a big-endian host holds it
+
+    @pytest.mark.parametrize("buffered", [0, 1])
+    @pytest.mark.parametrize("rt", [make_path(1), make_path(2), make_path(5)])
+    def test_lazy_skips_a_zero_word_as_integers_does(self, rt, buffered):
+        # the next raw output is 0: both its words are rejected in the lazy
+        # model, and read as step index 0 in the standard one
+        for m in STANDARD, LAZY:
+            state = pcg64_state_before(0, buffered, 4_000_000_000)
+            probe = np.random.default_rng()
+            probe.bit_generator.state = state
+            assert probe.bit_generator.random_raw() == 0
+            sampler, oracle = WalkSampler(rt, m, seed=0), np.random.default_rng()
+            sampler._rng.bit_generator.state = oracle.bit_generator.state = state
+            for count in 1, 1, 2, 3:
+                want = int64_labels(rt, m, oracle.integers(0, m.steps_per_edge, size=(count, rt.n - 1)))
+                assert np.array_equal(sampler.sample_labels(count), want)
+                assert sampler._rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_a_left_over_zero_word_stays_buffered(self):
+        # raw output 1: low word 1 is step index 0, high word 0 is left over
+        # by a one-word draw, buffered, and skipped by the next lazy draw
+        rt = make_path(1)
+        sampler, oracle = WalkSampler(rt, LAZY, seed=0), np.random.default_rng()
+        sampler._rng.bit_generator.state = oracle.bit_generator.state = pcg64_state_before(1)
+        for _ in range(3):
+            want = int64_labels(rt, LAZY, oracle.integers(0, 3, size=(1, 1)))
+            assert np.array_equal(sampler.sample_labels(1), want)
+            assert sampler._rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("m", [STANDARD, LAZY])
+    def test_a_draw_reads_at_most_a_word_block_at_once(self, m):
+        rt = make_path(39)
+        count = sampling.SAMPLE_LABELS // rt.n
+        sampler = WalkSampler(rt, m, seed=6)
+        sampler._rng = RecordedRaw(sampler._rng)
+        labels = sampler.sample_labels(count)
+        draws = np.random.default_rng(6).integers(0, m.steps_per_edge, size=(count, rt.n - 1))
+        assert np.array_equal(labels, int64_labels(rt, m, draws))
+        assert len(sampler._rng.sizes) > 1
+        assert max(sampler._rng.sizes) <= sampling.WORD_BLOCK // 2 + 1
 
 
 # Seeded reports pinned exactly, so a change to the seeded stream, the draw
