@@ -37,6 +37,8 @@ from .trees import (
     free_level_sequences,
     generate_free_trees,
     level_tree,
+    make_path,
+    make_spider,
     reroot,
 )
 
@@ -368,15 +370,12 @@ class LemmaCheckResult:
 
 
 def spider_profile(legs: Iterable[int], k: int, m: WalkModel) -> list[int]:
-    """Root profile of a spider: entrywise product of its legs' path profiles.
+    """Root profile of the spider with these legs, rooted at its branch vertex.
 
     An empty leg list is the empty spider (single root vertex): all ones.
     """
-    prof = [1] * (k + 1)
-    for a in legs:
-        leg = path_profile(a, k, m)
-        prof = [p * q for p, q in zip(prof, leg)]
-    return prof
+    legs = list(legs)
+    return profile(make_spider(legs) if legs else make_path(0), k, m)
 
 
 def _split_legs(legs: list[int]) -> tuple[int, int, list[int]]:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .trees import RootedTree, Tree
+from .trees import RootedTree, Tree, make_path
 
 
 def fraction_text(p: Fraction) -> str:
@@ -60,7 +60,7 @@ def profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
     """F_i^k profile of a rooted tree: entry i counts labelings with root label i."""
     if k < 0:
         raise ValueError(f"label bound must be >= 0, got {k}")
-    return _unfold(_half_profile(t, k, m), k)
+    return _unfold(next(_half_profiles(t, [k], m)), k)
 
 
 def _unfold(half: list[int], k: int) -> list[int]:
@@ -69,69 +69,77 @@ def _unfold(half: list[int], k: int) -> list[int]:
     return [*half, *half[: mirror + 1][::-1]]
 
 
-def _half_profile(t: RootedTree, k: int, m: WalkModel) -> list[int]:
-    """F_0..F_(k//2) of the root profile of a rooted tree at bound k >= 0.
+def _half_profiles(t: RootedTree, bounds: Iterable[int], m: WalkModel) -> Iterator[list[int]]:
+    """F_0..F_(k//2) of the root profile of a rooted tree, for each bound k >= 0 in bounds.
 
     Bottom-up DP: a vertex's profile is the entrywise product, over its
     children, of the children's profiles pushed across their edges by
     band_step (all ones at a leaf). Every profile is a palindrome
     (F_i^k = F_(k-i)^k, see band_step), so the DP runs on half profiles.
     A subtree's profile depends only on its rooted-isomorphism class, and a
-    parent reads it only pushed, so the call pushes each class below the
-    root once, however many vertices have it, into a memo of class id ->
-    edge-pushed half profile, and then multiplies the root's children.
+    parent reads it only pushed, so one postorder pass first interns the
+    classes below the root, each by its children's class ids, with its
+    height in edges from its parent; a class's id exceeds its children's.
+    Each bound then pushes each class it reaches once, however many
+    vertices have it, and multiplies the root's children.
 
     The one-wall rule, which RootBranches applies too: labels below a class
-    of height h (in edges from its parent) lie within h of the parent's
-    label i, so once k - k//2 >= h no stored label i <= k//2 reaches the
-    upper wall k, and the pushed half profile is Q_0..Q_(k//2), where Q_i
-    counts the labellings with the lower wall 0 alone. Q_i is the constant
-    s^size for i >= h, so the first bound with the rule that pushes the
-    class keeps Q_0..Q_h, the class's wall (RootedTree.walls, per model),
-    and every such bound after that copies a prefix of the wall, extended
-    by Q_h, sharing its ints, without pushing the class or visiting
-    anything below it.
+    of height h lie within h of its parent's label i, so once k - k//2 >= h
+    no stored label i <= k//2 reaches the upper wall k, and the pushed half
+    profile is Q_0..Q_(k//2), where Q_i counts the labellings with the
+    lower wall 0 alone. Q_i is the constant s^size for i >= h, so the first
+    bound with the rule that pushes the class keeps Q_0..Q_h, the class's
+    wall, and every such bound after that copies a prefix of the wall,
+    extended by Q_h, sharing its ints, without pushing the class or
+    visiting anything below it. The walls hold at every bound, so the
+    bounds may come in any order and repeat.
     """
-    width = k // 2 + 1
-    mirror = k - width  # the stored label that mirrors label k//2 + 1; -1 for k = 0
-    ids, heights = t.class_ids, t.heights
-    pushed: dict[int, list[int]] = {}
-    walls = t.walls.setdefault(m, {})
-    reach = k - k // 2  # the greatest class height that leaves the upper wall out of reach
-    first: dict[int, int] = {}  # each class missing from the memo -> its first vertex
-    stack = [t.root]
-    while stack:
-        for c in t.children[stack.pop()]:
-            cls = ids[c]
-            if cls in pushed or cls in first:
+    ids = [0] * t.n
+    classes: dict[tuple[int, ...], int] = {}  # children's class ids -> class id
+    heights: list[int] = []  # class id -> edges from its parent to its deepest vertex
+    for v in t.postorder()[:-1]:  # children first, without the root: no parent reads it
+        kids = tuple(sorted([ids[c] for c in t.children[v]]))
+        ids[v] = classes.setdefault(kids, len(classes))
+        if ids[v] == len(heights):
+            heights.append(1 + max([heights[c] for c in kids], default=0))
+    below = list(classes)  # class id -> its children's class ids
+    top = [ids[c] for c in t.children[t.root]]
+    walls: dict[int, list[int]] = {}
+    for k in bounds:
+        width = k // 2 + 1
+        mirror = k - width  # the stored label that mirrors label k//2 + 1; -1 for k = 0
+        reach = k - k // 2  # the greatest class height that leaves the upper wall out of reach
+        pushed: dict[int, list[int]] = {}
+        fresh: set[int] = set()  # the classes this bound pushes
+        stack = top.copy()
+        while stack:
+            cls = stack.pop()
+            if cls in pushed or cls in fresh:
                 continue
-            if heights[c] < reach and cls in walls:
+            if heights[cls] <= reach and cls in walls:
                 wall = walls[cls]
                 pushed[cls] = wall[:width] + wall[-1:] * (width - len(wall))
             else:
-                first[cls] = c
-                stack.append(c)
-    for cls in sorted(first):  # a class id exceeds its children's: children first
-        v = first[cls]
-        prof = _children_product(t, v, pushed, width)
-        row = pushed[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
-        if heights[v] < reach:
-            # label k//2 >= heights[v] is out of every child's reach, so
-            # prof[-1] is s^(size - 1) and Q_h is s^size
-            walls[cls] = [*row[: heights[v] + 1], m.steps_per_edge * prof[-1]]
-    return _children_product(t, t.root, pushed, width)
+                fresh.add(cls)
+                stack += below[cls]
+        for cls in sorted(fresh):  # children first
+            prof = _product(pushed, below[cls], width)
+            row = pushed[cls] = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
+            if heights[cls] <= reach:
+                # label k//2 >= h - 1 is out of every child's reach, so
+                # prof[-1] is s^(size - 1) and Q_h is s^size
+                walls[cls] = [*row[: heights[cls]], m.steps_per_edge * prof[-1]]
+        yield _product(pushed, top, width)
 
 
-def _children_product(t: RootedTree, v: int, pushed: dict[int, list[int]], h: int) -> list[int]:
-    """Entrywise product of the pushed half profiles of v's children; h ones at a leaf."""
-    kids = t.children[v]
-    if not kids:
-        return [1] * h
-    ids = t.class_ids
-    prof = pushed[ids[kids[0]]]
-    for c in kids[1:]:
-        prof = list(map(operator.mul, prof, pushed[ids[c]]))
-    return prof
+def _product(pushed: dict[int, list[int]], classes: list[int], width: int) -> list[int]:
+    """Entrywise product of the pushed half profiles of these classes; width ones for none."""
+    if not classes:
+        return [1] * width
+    prod = pushed[classes[0]]
+    for c in classes[1:]:
+        prod = list(map(operator.mul, prod, pushed[c]))
+    return prod
 
 
 def _half_weights(k: int) -> list[int]:
@@ -154,22 +162,19 @@ def count_bounded(t: Tree, k: int, m: WalkModel) -> int:
 def bounded_counts(t: Tree, bounds: range, m: WalkModel) -> list[int]:
     """F^k for each bound k in bounds; F^k = 0 for k < 0.
 
-    Below the diameter D each F^k takes one half-profile DP on t.centred.
-    No walk's range exceeds D, so from k = D on each of the s^(n-1)
-    translation classes gains one placement per unit of k, and
-    F^k = F^(D-1) + (k - D + 1) s^(n-1): the DP at D - 1 runs once and
-    serves every bound from D on.
+    Below the diameter D, F^k is the weighted sum (_half_weights) of the
+    half profile of t.centred at k, and one _half_profiles call gives the
+    half profiles at every distinct bound read. No walk's range exceeds D,
+    so from k = D on each of the s^(n-1) translation classes gains one
+    placement per unit of k, and F^k = F^(D-1) + (k - D + 1) s^(n-1): the
+    DP at D - 1 runs once and serves every bound from D on.
     """
     d, walks = t.diameter(), m.steps_per_edge ** (t.n - 1)
-    below: dict[int, int] = {}  # F^j for each bound 0 <= j < D a DP ran at
-    counts = []
-    for k in bounds:
-        j = min(k, d - 1)
-        if j >= 0 and j not in below:
-            half = _half_profile(t.centred, j, m)
-            below[j] = sum(map(operator.mul, _half_weights(j), half))
-        counts.append(below.get(j, 0) + (k - j) * walks)
-    return counts
+    reads = [min(k, d - 1) for k in bounds]  # the bound each count reads a DP at
+    js = [j for j in dict.fromkeys(reads) if j >= 0]
+    halves = _half_profiles(t.centred, js, m)
+    below = {j: sum(map(operator.mul, _half_weights(j), half)) for j, half in zip(js, halves)}
+    return [below.get(j, 0) + (k - j) * walks for k, j in zip(bounds, reads)]
 
 
 def range_classes_from(bounded: list[int]) -> list[int]:
@@ -216,7 +221,7 @@ class RootBranches(dict):
     A class is built on its first sighting, from its own branches: the
     entrywise product of their rows at each k, pushed across its top edge
     by one band_step per k, until k - k//2 >= height and the one-wall rule
-    of _half_profile gives each row. The rows run to k = bound - 1, or, for
+    of _half_profiles gives each row. The rows run to k = bound - 1, or, for
     f vectors on n vertices, to k < D: a longest path of a centre-rooted
     tree enters a subtree of `size` vertices at its top and meets at most
     `height` of them, so a tree that holds the class has
@@ -390,18 +395,8 @@ def transfer(a: int, k: int, m: WalkModel) -> list[list[int]]:
 
 
 def path_profile(a: int, k: int, m: WalkModel) -> list[int]:
-    """F_i^k(P_a) for i = 0..k, path rooted at an endpoint.
-
-    Runs on the half profile F_0..F_(k//2), like profile.
-    """
-    if k < 0:
-        raise ValueError(f"label bound must be >= 0, got {k}")
-    h = k // 2 + 1
-    mirror = k - h
-    prof = [1] * h
-    for _ in range(a):
-        prof = band_step(prof, m, prof[mirror] if mirror >= 0 else 0)
-    return _unfold(prof, k)
+    """F_i^k(P_a) for i = 0..k, path rooted at an endpoint: the profile of make_path(a)."""
+    return profile(make_path(a), k, m)
 
 
 def f_start_count(a: int, k: int, i: int, m: WalkModel) -> int:

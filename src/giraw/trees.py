@@ -121,7 +121,7 @@ class Tree:
         """This tree oriented away from a centre, built once: counting.bounded_counts reads it.
 
         At a centre every branch is at most half the diameter high, so the
-        DP's one-wall rows (counting._half_profile) take over soonest, and a
+        DP's one-wall rows (counting._half_profiles) take over soonest, and a
         path's two arms are one class.
         """
         path = self._longest_path
@@ -157,45 +157,15 @@ class Tree:
 
 @dataclass(frozen=True)
 class RootedTree:
-    """Tree with an orientation away from a chosen root.
-
-    walls holds the one-wall rows of counting._half_profile, one per class
-    and model.
-    """
+    """Tree with an orientation away from a chosen root."""
 
     tree: Tree
     root: int
     children: tuple[tuple[int, ...], ...] = field(compare=False)
-    walls: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.tree.n
-
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        """Edges from every vertex down to its deepest descendant."""
-        heights = [0] * self.n
-        for v in self.postorder():  # children first
-            heights[v] = max([heights[c] + 1 for c in self.children[v]], default=0)
-        return tuple(heights)
-
-    @cached_property
-    def class_ids(self) -> tuple[int, ...]:
-        """Interned rooted-isomorphism class of every vertex's subtree, -1 at the root.
-
-        Two subtrees below the root get the same id iff they are isomorphic
-        as rooted trees, and a class's id exceeds its children's. The root is
-        not interned: no parent reads its profile. The table is this
-        rooting's own, dropped once the ids are built.
-        """
-        table: dict[tuple[int, ...], int] = {(): 0}  # the leaf class is 0
-        ids = [0] * self.n
-        for v in self.postorder()[:-1]:  # the reverse of a preorder, without the root
-            if kids := self.children[v]:
-                ids[v] = table.setdefault(tuple(sorted([ids[c] for c in kids])), len(table))
-        ids[self.root] = -1
-        return tuple(ids)
 
     def postorder(self) -> list[int]:
         """Vertices ordered so every child precedes its parent."""

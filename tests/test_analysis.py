@@ -24,6 +24,7 @@ from giraw.analysis import (
     compare_range,
     pairwise_domination_order,
     scan_against_path,
+    spider_profile,
     spidersums_sides,
 )
 from giraw import counting, trees
@@ -427,6 +428,15 @@ class TestSpidersums:
         with pytest.raises(ValueError, match="leg lengths"):
             spidersums_sides(legs, 4, STANDARD)
 
+    @pytest.mark.parametrize("m", BOTH)
+    def test_a_spider_profile_keeps_every_leg(self, m):
+        # a negative leg is refused as make_spider refuses it, not dropped;
+        # no legs is the single vertex, all ones
+        with pytest.raises(TreeError, match=r"leg lengths must be >= 1, got \[-1, 2\]"):
+            spider_profile([-1, 2], 3, m)
+        assert spider_profile([], 3, m) == [1, 1, 1, 1]
+        assert spider_profile(iter([2, 1]), 3, m) == profile(make_spider([2, 1]), 3, m)
+
 
 def rising_palindrome(rng: random.Random, n: int) -> list[int]:
     """A palindrome of length n that is nondecreasing up to its middle."""
@@ -593,7 +603,7 @@ class TestRootedProfiles:
         cases = grid_cases(8, range(13), spiders)
         assert [label for label, _ in got] == [label for label, _ in cases]
         for (_, rows), (_, rt) in zip(got, cases):
-            assert rows == [profile(rt, k, m)[: k // 2 + 1] for k in range(13)]
+            assert rows == list(counting._half_profiles(rt, range(13), m))
 
     def test_the_grids_push_each_class_once(self, monkeypatch):
         # the deep benchmark's lazy difference grid: each subtree class is

@@ -218,15 +218,15 @@ class TestCount:
 
     @pytest.mark.parametrize("k,dps", [(0, [0]), (3, [2, 3]), (5, [4]), (9, [4])])
     def test_one_dp_per_bound_used(self, runner, monkeypatch, k, dps):
-        # each at the centre of the diameter-5 spider, on its leg of length 3;
-        # from the diameter on, one DP at D - 1 serves both bounds
-        calls, dp = [], counting._half_profile
+        # one DP call at the centre of the diameter-5 spider, on its leg of
+        # length 3; from the diameter on, the bound D - 1 serves both counts
+        calls, dp = [], counting._half_profiles
         monkeypatch.setattr(
-            counting, "_half_profile", lambda t, k, m: calls.append((t.root, k)) or dp(t, k, m)
+            counting, "_half_profiles", lambda t, ks, m: calls.append((t.root, list(ks))) or dp(t, ks, m)
         )
         res = runner.invoke(main, ["count", "--tree", "spider:3,2,2", "--k", str(k)])
         assert res.exit_code == 0
-        assert calls == [(1, k) for k in dps]
+        assert calls == [(1, dps)]
 
     @pytest.mark.parametrize("m", ["standard", "lazy"])
     def test_k_past_the_diameter_matches_the_direct_dp(self, runner, m):

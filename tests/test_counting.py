@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from giraw.trees import (
     FREE_TREE_COUNTS,
     RootedTree,
     Tree,
+    TreeError,
     free_level_sequences,
     generate_free_trees,
     level_tree,
@@ -85,6 +87,16 @@ class TestProfile:
     def test_negative_k_rejected_for_a_path(self):
         with pytest.raises(ValueError, match="label bound must be >= 0, got -1"):
             path_profile(2, -1, STANDARD)
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_negative_path_length_rejected(self, m):
+        # every path routine builds or checks the path as transfer does
+        with pytest.raises(TreeError, match="path length must be >= 0, got -2"):
+            path_profile(-2, 4, m)
+        with pytest.raises(TreeError, match="path length must be >= 0, got -1"):
+            f_start_count(-1, 2, 1, m)
+        with pytest.raises(ValueError, match="path length must be >= 0, got -1"):
+            transfer(-1, 3, m)
 
     @given(labeled_trees(), st.integers(0, 6), st.sampled_from(BOTH))
     @settings(max_examples=80)
@@ -165,9 +177,15 @@ def path_steps(n: int, m: WalkModel) -> int:
     return len(steps)
 
 
+def rooted_counts(rt: RootedTree, d: int, m: WalkModel) -> list[int]:
+    """F^0..F^d from one profile DP at rt's own root, which bounded_counts does not choose."""
+    halves = counting._half_profiles(rt, range(d + 1), m)
+    return [sum(counting._unfold(half, k)) for k, half in enumerate(halves)]
+
+
 def rooted_classes(rt: RootedTree, d: int, m: WalkModel) -> list[int]:
-    """f^0..f^d from profile DPs at rt's own root, which bounded_counts does not choose."""
-    return range_classes_from([0, *(sum(profile(rt, k, m)) for k in range(d + 1))])
+    """f^0..f^d from one profile DP at rt's own root."""
+    return range_classes_from([0, *rooted_counts(rt, d, m)])
 
 
 def full_width_push(row: list[int], a: int, m: WalkModel) -> list[int]:
@@ -178,6 +196,19 @@ def full_width_push(row: list[int], a: int, m: WalkModel) -> list[int]:
 
 
 class TestHalfProfiles:
+    @pytest.mark.parametrize("m", BOTH)
+    def test_one_call_over_any_bounds_equals_one_call_per_bound(self, m):
+        # every rooting of every tree up to 8 vertices, at shuffled bounds
+        # with repeats: the walls kept across bounds do not depend on their order
+        rng = random.Random(8)
+        for n in range(1, 9):
+            for t in generate_free_trees(n):
+                for r in range(n):
+                    rt = reroot(t, r)
+                    bounds = [rng.randrange(2 * n) for _ in range(12)]
+                    alone = [next(counting._half_profiles(rt, [k], m)) for k in bounds]
+                    assert list(counting._half_profiles(rt, bounds, m)) == alone
+
     def test_path_profile_and_transfer_match_full_width_steps(self):
         for m in BOTH:
             for k in range(14):
@@ -365,16 +396,21 @@ class TestOneWallRows:
                 d = t.diameter()
                 want = [oracle_F(t, k, m) for k in range(d + 1)]
                 for r in range(n):
-                    assert [sum(profile(reroot(t, r), k, m)) for k in range(d + 1)] == want
+                    assert rooted_counts(reroot(t, r), d, m) == want
 
-    def test_a_wall_is_kept_per_class_and_model(self):
-        # Q_0..Q_h of each arm of the centred path 0-1-2-3-4: labellings of
-        # the arm below its parent's label i with the lower wall alone
-        rt = make_path(4).tree.centred
-        range_distribution(rt.tree, STANDARD)
-        range_distribution(rt.tree, LAZY)
-        walls = {m: sorted(w.values()) for m, w in rt.walls.items()}
-        assert walls == {STANDARD: [[1, 2], [2, 3, 4]], LAZY: [[2, 3], [5, 8, 9]]}
+    def test_a_wall_is_kept_per_class_and_model(self, monkeypatch):
+        # Q_0..Q_2 of each arm of the centred path 0-1-2-3-4: labellings of
+        # the arm below its parent's label i with the lower wall alone. The
+        # arm's class and its leaf's keep their walls at their first push,
+        # k = 3, and no later bound of the call pushes a class
+        steps = count_band_steps(monkeypatch)
+        for m, wall in (STANDARD, [2, 3, 4]), (LAZY, [5, 8, 9]):
+            steps.clear()
+            halves = list(counting._half_profiles(make_path(4).tree.centred, range(3, 12), m))
+            assert len(steps) == 2
+            for k, half in enumerate(halves, start=3):
+                q = wall + wall[-1:] * (k // 2 - 2)
+                assert half == [a * a for a in q[: k // 2 + 1]]
 
 
 class TestRootBranches:
@@ -445,21 +481,22 @@ class TestCounts:
 
     def test_count_past_the_diameter_runs_one_dp_below_it(self, monkeypatch):
         # F^(D-1) rooted at the centre, vertex 2 of the longest path 0-1-2-3
-        calls, dp = [], counting._half_profile
+        calls, dp = [], counting._half_profiles
         monkeypatch.setattr(
-            counting, "_half_profile", lambda t, k, m: calls.append((t.root, k)) or dp(t, k, m)
+            counting, "_half_profiles", lambda t, ks, m: calls.append((t.root, list(ks))) or dp(t, ks, m)
         )
         t = make_path(3).tree
         assert count_bounded(t, 20_000_000, STANDARD) == 159_999_992
-        assert calls == [(2, 2)]
+        assert calls == [(2, [2])]
 
     @pytest.mark.parametrize("m", BOTH)
     def test_bounded_counts_match_walk_enumeration(self, m):
-        # F^k = 0 below 0, one DP per bound below D, and the diameter rule past it
+        # F^k = 0 below 0, one DP per bound below D, and the diameter rule
+        # past it, also at descending bounds with gaps
         for n in range(1, 8):
             for t in generate_free_trees(n):
-                bounds = range(-1, t.diameter() + 4)
-                assert bounded_counts(t, bounds, m) == [oracle_F(t, k, m) for k in bounds]
+                for bounds in range(-1, t.diameter() + 4), range(t.diameter() + 3, -3, -2):
+                    assert bounded_counts(t, bounds, m) == [oracle_F(t, k, m) for k in bounds]
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError, match="label bound must be >= 0, got -1"):
@@ -543,14 +580,14 @@ class TestRangeDistribution:
         assert sum(d.class_counts.values()) == d.denominator
 
     def test_one_profile_dp_per_bound(self, monkeypatch):
-        # every DP of a distribution roots the tree at one centre
-        calls, dp = [], counting._half_profile
+        # a distribution makes one DP call, at one centre, for the bounds below D
+        calls, dp = [], counting._half_profiles
 
-        def counted(rt, k, m):
-            calls.append((rt.root, k))
-            return dp(rt, k, m)
+        def counted(rt, ks, m):
+            calls.append((rt.root, list(ks)))
+            return dp(rt, ks, m)
 
-        monkeypatch.setattr(counting, "_half_profile", counted)
+        monkeypatch.setattr(counting, "_half_profiles", counted)
         for t, centre in [
             (make_path(6).tree, 3),
             (make_star(5).tree, 0),
@@ -558,7 +595,7 @@ class TestRangeDistribution:
         ]:
             calls.clear()
             range_distribution(t, LAZY)
-            assert calls == [(centre, k) for k in range(t.diameter())]
+            assert calls == [(centre, list(range(t.diameter())))]
 
     @pytest.mark.parametrize("m", BOTH)
     def test_level_sequence_classes_match_the_distribution(self, m):

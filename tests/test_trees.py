@@ -190,10 +190,9 @@ class TestGeneration:
 
 class TestClassIds:
     def test_isomorphic_subtrees_share_an_id(self):
-        # spider legs 2, 2, 1 rooted at the branch vertex: the two long legs match
-        ids = make_spider([2, 2, 1]).class_ids
-        assert ids[1] == ids[3] and ids[2] == ids[4] == ids[5]
-        assert len(set(ids)) == 3
+        # spider legs 2, 2, 1 rooted at the branch vertex: the two long legs
+        # match, each a top with one leaf below it, and the short leg is a leaf
+        assert branch_keys(make_spider([2, 2, 1])) == [b"\x02", b"\x02", b""]
 
     @staticmethod
     def assert_keys_agree(edges, other_edges, perm):
@@ -220,22 +219,13 @@ class TestClassIds:
         assert branch_keys(reroot(Tree(7, tuple(cherry + path)), 0)) == [b"\x02\x03", b"\x02\x02"]
 
     def test_ids_do_not_depend_on_other_rootings(self):
-        # every rooting interns into a table of its own, so the ids of one
-        # rooting are the same before and after other trees are rooted
-        star_at_leaf = reroot(make_star(3).tree, 1)
-        want = star_at_leaf.class_ids
+        # a rooting's keys are its own, so they are the same before and
+        # after other trees are rooted
+        want = branch_keys(reroot(make_star(3).tree, 1))
         for t in generate_free_trees(7):
             for r in range(t.n):
-                reroot(t, r).class_ids
-        assert reroot(make_star(3).tree, 1).class_ids == want == (1, -1, 0, 0)
-
-
-def class_partition(ids) -> set[frozenset[int]]:
-    """The vertex sets that share a class id."""
-    blocks: dict[int, set[int]] = {}
-    for v, c in enumerate(ids):
-        blocks.setdefault(c, set()).add(v)
-    return {frozenset(b) for b in blocks.values()}
+                branch_keys(reroot(t, r))
+        assert branch_keys(reroot(make_star(3).tree, 1)) == want == [b"\x02\x02"]
 
 
 class TestLevelTree:
@@ -245,7 +235,7 @@ class TestLevelTree:
             rt = level_tree(levels)
             assert rt.root == 0 and rt.tree == t
             assert rt.children == reroot(t, 0).children
-            assert class_partition(rt.class_ids) == class_partition(reroot(t, 0).class_ids)
+            assert branch_keys(rt) == branch_keys(reroot(t, 0))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_branch_keys_are_the_keys_split_reads(self, n):
