@@ -20,12 +20,11 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 from .counting import (
     RootBranches,
     WalkModel,
+    _half_profiles,
     _unfold,
     branch_keys,
-    centre_diameter,
     fraction_text,
     is_spider,
-    path_profile,
     profile,
     range_distribution,
     transfer,
@@ -175,7 +174,7 @@ def scan_against_path(n: int, m: WalkModel, family: str = "all") -> ScanResult:
     return _merge_shards(n, m, family, parts)
 
 
-ShardPart = tuple[int, list[tuple[int, list[int], int, int, int]]]
+ShardPart = tuple[int, list[tuple[int, bytes, int, int, int]]]
 
 
 def _scan_shard(
@@ -184,13 +183,16 @@ def _scan_shard(
     """Trees checked and violations among the trees of one shard.
 
     A violation at k is (index, levels, k, f^(k-1) of the tree, f^(k-1) of
-    the path), all plain ints, in stream order.
+    the path), in stream order: the levels as the generator's bytes, the
+    rest plain ints. Most trees have no violation, so one pass finds
+    whether a tree has any before they are listed.
     """
     checked = 0
     found = []
     for index, levels, f in _f_vectors(n, m, family, shard, shards):
         checked += 1
-        found += [(index, levels, k, f[k - 1], path_f[k - 1]) for k in _tails_above(f, path_f)]
+        if any(map(lt, f, path_f)):  # a tail above the path's, so list them
+            found += [(index, levels, k, f[k - 1], path_f[k - 1]) for k in _tails_above(f, path_f)]
     return checked, found
 
 
@@ -209,7 +211,7 @@ def _f_vectors(n: int, m: WalkModel, family: str, shard: int, shards: int) -> It
         branches = table.split(levels)
         if spiders and not is_spider(branches):
             continue
-        yield index, levels, table.f_vector(branches, centre_diameter(branches))
+        yield index, levels, table.f_vector(branches)
 
 
 def _merge_shards(n: int, m: WalkModel, family: str, parts: list[ShardPart]) -> ScanResult:
@@ -387,16 +389,26 @@ def _split_legs(legs: list[int]) -> tuple[int, int, list[int]]:
     return legs[0], legs[1], legs[2:]
 
 
-def _summand(legs: list[int], k: int, m: WalkModel) -> Callable[[int, int], int]:
-    """The (i, j) summand of the leg-merging expansion at bound k.
+def _summands(legs: list[int], bounds: list[int], m: WalkModel) -> list[Callable[[int, int], int]]:
+    """The (i, j) summand of the leg-merging expansion at each of these bounds.
 
     It is T[i][j] * (P_i - P_j) * (R_i - R_j), with T the transfer across the
     first leg, P the profile of a path of the second leg's length and R the
-    profile of the spider of the other legs.
+    profile of the spider of the other legs. The path and the spider are
+    built once, each with one profile DP over all the bounds.
     """
     a1, a2, rest = _split_legs(legs)
-    tab, p2, pr = transfer(a1, k, m), path_profile(a2, k, m), spider_profile(rest, k, m)
-    return lambda i, j: tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])
+    paths = _half_profiles(make_path(a2), bounds, m)
+    spiders = _half_profiles(make_spider(rest) if rest else make_path(0), bounds, m)
+    return [
+        partial(_summand, transfer(a1, k, m), _unfold(p2, k), _unfold(pr, k))
+        for k, p2, pr in zip(bounds, paths, spiders)
+    ]
+
+
+def _summand(tab: list[list[int]], p2: list[int], pr: list[int], i: int, j: int) -> int:
+    """T[i][j] * (P_i - P_j) * (R_i - R_j), of one bound's T, P and R (_summands)."""
+    return tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])
 
 
 def spidersums_sides(legs: list[int], k: int, m: WalkModel) -> tuple[int, int]:
@@ -407,7 +419,7 @@ def spidersums_sides(legs: list[int], k: int, m: WalkModel) -> tuple[int, int]:
     """
     a1, a2, rest = _split_legs(legs)
     lhs = sum(spider_profile(legs, k, m)) - sum(spider_profile([a1 + a2] + rest, k, m))
-    summand = _summand(legs, k, m)
+    (summand,) = _summands(legs, [k], m)
     return lhs, sum(summand(i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
 
 
@@ -650,7 +662,7 @@ def check_summand_comparison(legs: list[int], k: int, m: WalkModel) -> LemmaChec
     The (i, j) summand at bound k is compared against the (i, j) summand at
     bound k+1 when i+j <= k, else against the (i+1, j+1) summand.
     """
-    at_k, at_k1 = _summand(legs, k, m), _summand(legs, k + 1, m)
+    at_k, at_k1 = _summands(legs, [k, k + 1], m)
     cases = 0
     ces: list[tuple] = []
     for i in range(k + 1):

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .trees import RootedTree, Tree, make_path
+from .trees import _LIFT, RootedTree, Tree, make_path
 
 
 def fraction_text(p: Fraction) -> str:
@@ -203,8 +204,8 @@ class Branch(NamedTuple):
     rows: list[int]  # edge-pushed half profiles at k = 0, 1, ..., as far as a tree reads them
 
 
-# x -> x - 1 and x -> x + 1 on every byte: move a key one level up or down
-_LIFT, _LOWER = bytes([0, *range(255)]), bytes([*range(1, 256), 255])
+# x -> x + 1 on every byte: move a key one level down (trees._LIFT moves it up)
+_LOWER = bytes([*range(1, 256), 255])
 
 
 class RootBranches(dict):
@@ -235,12 +236,20 @@ class RootBranches(dict):
         bounds = range(n - 1 if bound is None else bound)
         # rows[ends[k]:ends[k + 1]] is the half profile at bound k
         self.ends = [0, *accumulate(k // 2 + 1 for k in bounds)]
-        self.lasts = [e - 1 for e in self.ends[1:]]
-        self.weights = [w for k in bounds for w in _half_weights(k)]
+        lasts = [e - 1 for e in self.ends[1:]]
+        weights = [w for k in bounds for w in _half_weights(k)]
+        # per diameter d < n that has its rows: the weights of rows
+        # 0..d-1, a getter of the running sum's ends of those rows (row 0 is
+        # one entry, so for d < 2 the getter is a slice), and f^d..f^(n-1),
+        # each s^(n-1)
+        ds = range(min(n, len(self.ends)))
+        self.weight_rows = [weights[: self.ends[d]] for d in ds]
+        self.picks = [itemgetter(*lasts[:d]) if d > 1 else itemgetter(slice(d)) for d in ds]
+        self.pads = [[self.walks] * (n - d) for d in ds]
 
-    def split(self, levels: list[int]) -> list[Branch]:
+    def split(self, levels: bytes) -> list[Branch]:
         """The branches of the root of a level sequence, in order, each interned."""
-        return [self[key] for key in bytes(levels).split(b"\x01")[1:]]
+        return [self[key] for key in levels.split(b"\x01")[1:]]
 
     def __missing__(self, key: bytes) -> Branch:
         subs = [self[part.translate(_LIFT)] for part in key.split(b"\x02")[1:]]
@@ -269,22 +278,29 @@ class RootBranches(dict):
         prod = list(reduce(partial(map, operator.mul), rows))
         return [prod[a:b] for a, b in zip(self.ends, self.ends[1:])]
 
-    def f_vector(self, branches: list[Branch], d: int) -> list[int]:
-        """f^0..f^(n-1) of the tree whose root has these branches and whose diameter is d.
+    def f_vector(self, branches: list[Branch]) -> list[int]:
+        """f^0..f^(n-1) of the centre-rooted tree whose root has these branches, in canonical order.
 
-        F^k for k < d is the weighted sum (_half_weights) of the entrywise
-        product of the branches' rows at k. One running sum over all those
-        rows at once reads F^0 + ... + F^k at the end of row k, so F and f
-        are two successive differences. From d on, f^k is s^(n-1). Every
-        branch of the tree has rows up to k = d - 1.
+        The diameter d is the sum of the heights of the two tallest
+        branches, since every longest path passes through the centre. In
+        canonical order a taller branch has the larger level sequence, so
+        those are the first two. F^k for k < d is the weighted sum
+        (_half_weights) of the entrywise product of the branches' rows at
+        k. One running sum over all those rows at once reads F^0 + ... + F^k
+        at the end of row k, so F and f are two successive differences.
+        From d on, f^k is s^(n-1). Every branch of the tree has rows up to
+        k = d - 1.
         """
-        prod = self.weights[: self.ends[d]]
+        if len(branches) > 1:
+            d = branches[0].height + branches[1].height
+        else:  # a root with one branch or none: n <= 2
+            d = sum(b.height for b in branches)
+        prod = self.weight_rows[d]
         for b in branches:
             prod = map(operator.mul, prod, b.rows)
-        running = list(accumulate(prod))
-        totals = list(map(running.__getitem__, self.lasts[:d]))
+        totals = self.picks[d](list(accumulate(prod)))
         bounded = list(map(operator.sub, totals, [0, *totals]))
-        return [*map(operator.sub, bounded, [0, *bounded]), *[self.walks] * (self.n - d)]
+        return [*map(operator.sub, bounded, [0, *bounded]), *self.pads[d]]
 
 
 def branch_keys(rt: RootedTree) -> list[bytes]:
@@ -298,16 +314,6 @@ def branch_keys(rt: RootedTree) -> list[bytes]:
         below = sorted([keys.pop(c) for c in rt.children[v]], reverse=True)
         keys[v] = b"".join([b"\x02" + key.translate(_LOWER) for key in below])
     return sorted([keys[c] for c in rt.children[rt.root]], reverse=True)
-
-
-def centre_diameter(branches: list[Branch]) -> int:
-    """Diameter of a tree rooted at a centre, from its root's branches.
-
-    Every longest path passes through each centre, so the diameter is the
-    sum of the heights of the two tallest branches.
-    """
-    heights = sorted([b.height for b in branches])
-    return sum(heights[-2:])
 
 
 def is_spider(branches: list[Branch]) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 # Known counts of non-isomorphic free trees, n = 1, 2, 3, ... (OEIS A000055).
 FREE_TREE_COUNTS = (
@@ -19,6 +19,9 @@ FREE_TREE_COUNTS = (
 )
 
 DEFAULT_MAX_N = len(FREE_TREE_COUNTS)  # free_level_sequences stops at the last known count
+
+# x -> x - 1 on every byte: depths one level up, as counted from a branch's top
+_LIFT = bytes([0, *range(255)])
 
 
 class TreeError(ValueError):
@@ -289,36 +292,37 @@ def generate_free_trees(n: int) -> Iterator[Tree]:
         yield level_tree(levels).tree
 
 
-def free_level_sequences(n: int) -> Iterator[list[int]]:
+def free_level_sequences(n: int) -> Iterator[bytes]:
     """Level sequences of the free trees on n vertices, one per class, each rooted at a centre.
 
     The generator of Wright, Richmond, Odlyzko and McKay ("Constant time
     generation of free trees", SIAM J. Comput. 1986). A rooted tree's level
     sequence lists the depths of its vertices in preorder, children in
-    decreasing order of their own sequences. The walk starts at the path
-    rooted at its centre and steps through rooted trees in decreasing order
-    of level sequence (Beyer and Hedetniemi), keeping only the canonical
-    centre-rooted ones and jumping over runs of non-canonical ones. Supports
-    n from 1 to DEFAULT_MAX_N, checked before the first sequence is asked
-    for.
+    decreasing order of their own sequences, here one byte a depth. The walk
+    starts at the path rooted at its centre and steps through rooted trees
+    in decreasing order of level sequence (Beyer and Hedetniemi), keeping
+    only the canonical centre-rooted ones and jumping over runs of
+    non-canonical ones. Every step slices, repeats and joins bytes, with no
+    per-entry Python loop. Supports n from 1 to DEFAULT_MAX_N, checked
+    before the first sequence is asked for.
     """
     if not (1 <= n <= DEFAULT_MAX_N):
         raise TreeError(f"n must be in [1, {DEFAULT_MAX_N}], got {n}")
     return _wrom_walk(n)
 
 
-def _wrom_walk(n: int) -> Iterator[list[int]]:
+def _wrom_walk(n: int) -> Iterator[bytes]:
     if n == 1:
-        yield [0]
+        yield b"\x00"
         return
-    seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    seq: bytes | None = bytes([*range(n // 2 + 1), *range(1, (n + 1) // 2)])
     while seq is not None:
         seq = _canonical_from(seq)
         yield seq
         seq = _next_rooted(seq)
 
 
-def level_tree(levels: list[int]) -> RootedTree:
+def level_tree(levels: Sequence[int]) -> RootedTree:
     """The rooted tree of a level sequence: vertex i is entry i, the root is 0.
 
     A list of depths is the preorder level sequence of a rooted tree iff it
@@ -343,51 +347,48 @@ def level_tree(levels: list[int]) -> RootedTree:
     return RootedTree(tree, 0, tuple(map(tuple, children)))
 
 
-def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+def _next_rooted(seq: bytes, p: int | None = None) -> bytes | None:
     """Successor of a rooted level sequence (Beyer-Hedetniemi), or None at the star.
 
     p is the position to decrease: by default the last entry above depth 1.
-    The suffix from p repeats the subtree that starts at p's new parent q.
+    Its new parent q is the last entry before it one level up, and the
+    suffix from p repeats the subtree block seq[q:p].
     """
     if p is None:
-        p = len(seq) - 1
-        while seq[p] == 1:
-            p -= 1
+        p = len(seq.rstrip(b"\x01")) - 1
     if p == 0:
         return None
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    out = seq[:p]
-    for i in range(p, len(seq)):
-        out.append(out[i - p + q])
-    return out
+    q = seq.rindex(seq[p] - 1, 0, p)
+    tail = len(seq) - p
+    return seq[:p] + (seq[q:p] * (tail // (p - q) + 1))[:tail]
 
 
-def _split_first_branch(seq: list[int]) -> tuple[list[int], list[int]]:
-    """The first branch under the root (depths relative to it) and the rest of the tree."""
-    end = next((i for i in range(2, len(seq)) if seq[i] == 1), len(seq))
-    return [d - 1 for d in seq[1:end]], [0, *seq[end:]]
-
-
-def _canonical_from(seq: list[int]) -> list[int]:
+def _canonical_from(seq: bytes) -> bytes:
     """seq if it is the canonical centre-rooted form of a free tree, else the next one.
 
-    Canonical: the first branch is no higher than the rest of the tree and,
-    at equal height, no larger, and at equal size not lexicographically after.
-    Otherwise one successor step at the end of the first branch, followed,
-    when the step cut below depth 2, by resetting the suffix to a path one
-    higher than the new first branch, jumps over the whole run of
-    non-canonical sequences to the next canonical one.
+    The first branch under the root is seq[1:end], and the rest of the tree
+    is the root with seq[end:]. Canonical: the first branch is no higher
+    than the rest and, at equal height, no larger, and at equal size not
+    lexicographically after (with the first branch's depths counted from
+    its top). Otherwise one successor step at the end of the first branch,
+    followed, when the step cut below depth 2, by resetting the suffix to a
+    path one higher than the new first branch, jumps over the whole run of
+    non-canonical sequences to the next canonical one. Such a step leaves
+    no depth 1 after the first branch's top, so that branch is all of the
+    new sequence but its root.
     """
-    first, rest = _split_first_branch(seq)
-    h_first, h_rest = max(first), max(rest)
-    if h_rest > h_first or (h_rest == h_first and (len(first), first) <= (len(rest), rest)):
+    end = seq.find(1, 2)
+    if end < 0:
+        end = len(seq)
+    h_first, h_rest = max(seq[1:end]) - 1, max(seq[end:], default=0)
+    if h_rest > h_first or (
+        h_rest == h_first
+        and (end - 1, seq[1:end].translate(_LIFT)) <= (len(seq) - end + 1, b"\x00" + seq[end:])
+    ):
         return seq
-    p = len(first)
+    p = end - 1
     out = _next_rooted(seq, p)
     if seq[p] > 2:
-        new_first, _ = _split_first_branch(out)
-        tail = range(1, max(new_first) + 2)
-        out[len(out) - len(tail):] = tail
+        tail = bytes(range(1, max(out) + 1))
+        out = out[: len(out) - len(tail)] + tail
     return out

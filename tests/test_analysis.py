@@ -34,6 +34,7 @@ from giraw.trees import (
     Tree,
     TreeError,
     generate_free_trees,
+    level_tree,
     make_path,
     make_spider,
     make_star,
@@ -200,6 +201,30 @@ class TestScan:
             assert list(got) == want
             assert n < 5 or want
 
+    @pytest.mark.parametrize("m, j", [(STANDARD, 2), (STANDARD, 5), (LAZY, 1), (LAZY, 6)])
+    def test_a_raised_path_entry_lists_every_tail_above_it(self, m, j):
+        # a shard lists a tree's violations only when one pass finds any;
+        # raising f^j of the path by 1 makes every tree that ties it there
+        # (the path itself, and in the lazy model at j = 1 every tree) a
+        # violation, and the records must equal the tails compared in full
+        n = 10
+        raised = analysis._padded(range_distribution(make_path(n - 1).tree, m).classes, n)
+        raised[j] += 1
+        checked, found = analysis._scan_shard(n, m, "all", raised, 0, 1)
+        want = [
+            (index, levels, k, f[k - 1], raised[k - 1])
+            for index, levels, f in analysis._f_vectors(n, m, "all", 0, 1)
+            for k in analysis._tails_above(f, raised)
+        ]
+        assert checked == FREE_TREE_COUNTS[n - 1] and found == want
+        assert found  # the path ties its own raised entry
+        if (m, j) == (LAZY, 1):  # f^1 = 2^n - 1 on every tree
+            assert len(found) == FREE_TREE_COUNTS[n - 1]
+        result = analysis._merge_shards(n, m, "all", [(checked, found)])
+        assert [(v.tree, v.k) for v in result.violations] == [
+            (level_tree(levels).tree, k) for _, levels, k, _, _ in want
+        ]
+
     def test_the_path_is_rooted_once(self, monkeypatch):
         # at its centre, for its f vector; no rooting at vertex 0 comes first
         roots = []
@@ -314,6 +339,24 @@ class TestScanShards:
             "print(scan_against_path(SHARD_MIN_N, WalkModel.LAZY).trees_checked, len(forks))\n"
         )
         assert out == f"{FREE_TREE_COUNTS[analysis.SHARD_MIN_N - 1]} 0\n"
+
+
+class TestSmallBoundClosedForms:
+    # the scan engine's f vector of every free tree with 3..12 vertices
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_standard_f2_counts_the_two_parity_classes(self, n):
+        # labels in [0, 2] change parity along every edge, so one side of
+        # the bipartition is all 1 and the other free in {0, 2}:
+        # F^2 = 2^p + 2^q for the sides' sizes p and q, and F^1 = 2
+        for _, levels, f in analysis._f_vectors(n, STANDARD, "all", 0, 1):
+            p = sum(1 for d in levels if d % 2 == 0)
+            assert f[2] == 2**p + 2 ** (n - p) - 2
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_lazy_f1_is_every_labelling_in_0_1_but_one(self, n):
+        # every labelling in {0, 1} is a lazy walk, and F^0 = 1
+        assert {f[1] for _, _, f in analysis._f_vectors(n, LAZY, "all", 0, 1)} == {2**n - 1}
 
 
 class TestDominationOrder:
@@ -563,7 +606,7 @@ def count_row_products(monkeypatch) -> list:
 
 def forbid_profile_dps(monkeypatch) -> None:
     """Fail the test on any per-case profile DP the analysis module could call."""
-    for name in ("profile", "path_profile", "spider_profile"):
+    for name in ("profile", "_half_profiles", "spider_profile"):
         monkeypatch.setattr(analysis, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
 
 
@@ -716,6 +759,25 @@ class TestSummandComparison:
     def test_lazy_two_legs(self):
         for k in range(7):
             assert check_summand_comparison([2, 2], k, LAZY).ok
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_one_profile_dp_per_tree_over_both_bounds(self, monkeypatch, m):
+        # the path and the spider are each built once, and each gets one
+        # DP over k and k + 1, whose summands equal the per-bound formula
+        calls, half = [], analysis._half_profiles
+        monkeypatch.setattr(
+            analysis, "_half_profiles", lambda rt, bounds, m: calls.append(bounds) or half(rt, bounds, m)
+        )
+        for legs, k in ([3, 2, 2, 1], 5), ([2, 3], 4), ([1, 1, 1], 0):
+            calls.clear()
+            at_k, at_k1 = analysis._summands(legs, [k, k + 1], m)
+            assert calls == [[k, k + 1], [k, k + 1]]
+            for bound, summand in (k, at_k), (k + 1, at_k1):
+                tab = counting.transfer(legs[0], bound, m)
+                p2 = counting.path_profile(legs[1], bound, m)
+                pr = spider_profile(legs[2:], bound, m)
+                for i, j in product(range(bound + 1), repeat=2):
+                    assert summand(i, j) == tab[i][j] * (p2[i] - p2[j]) * (pr[i] - pr[j])
 
     @pytest.mark.parametrize("legs", [[-1, 2], [2, 0], [2, 2, -3]])
     def test_legs_must_be_positive(self, legs):

@@ -13,7 +13,6 @@ from giraw.counting import (
     WalkModel,
     bounded_counts,
     branch_keys,
-    centre_diameter,
     count_bounded,
     endpoint_difference_distribution,
     f_start_count,
@@ -302,7 +301,7 @@ class TestSharedProfiles:
         # Q_0..Q_2 = 2^9, 2^9 + 1, 2^10, ints past CPython's small-int cache,
         # and every row from k = 4 on holds those very objects
         table = RootBranches(11, STANDARD, 40)
-        (broom,) = table.split([0, 1, *[2] * 9])
+        (broom,) = table.split(bytes([0, 1, *[2] * 9]))
         ends = table.ends
         wall = broom.rows[ends[4] : ends[5]]
         assert (broom.height, wall) == (2, [2**9, 2**9 + 1, 2**10])
@@ -385,7 +384,7 @@ class TestOneWallRows:
             table = RootBranches(n, m)
             for levels, t in zip(free_level_sequences(n), generate_free_trees(n)):
                 d = t.diameter()
-                want = table.f_vector(table.split(levels), d)[: d + 1]
+                want = table.f_vector(table.split(levels))[: d + 1]
                 for r in range(n):
                     assert rooted_classes(reroot(t, r), d, m) == want
 
@@ -416,27 +415,28 @@ class TestOneWallRows:
 class TestRootBranches:
     @pytest.mark.parametrize("m", BOTH)
     def test_matches_the_per_tree_dp(self, m):
-        # every tree up to 13 vertices: the engine's diameter against the BFS
-        # one, its f vector against the profile DPs of the level tree, and
-        # its spider test against the degrees
+        # every tree up to 13 vertices: the engine's diameter, the first k
+        # with f^k = s^(n-1), against the BFS one, its f vector against the
+        # profile DPs of the level tree, and its spider test against the degrees
         for n in range(1, 14):
             table = RootBranches(n, m)
             for levels in free_level_sequences(n):
                 rt = level_tree(levels)
                 branches = table.split(levels)
-                d = centre_diameter(branches)
-                assert d == rt.tree.diameter()
+                d = rt.tree.diameter()
                 f = rooted_classes(rt, d, m)
-                assert table.f_vector(branches, d) == [*f, *f[-1:] * (n - len(f))]
+                got = table.f_vector(branches)
+                assert got == [*f, *f[-1:] * (n - len(f))]
+                assert got.index(table.walks) == d  # f^k < s^(n-1) below the diameter
                 assert is_spider(branches) == oracle_is_spider(rt.tree)
 
     def test_a_branch_met_deeper_is_one_class(self):
         # an edge below a branch's top hangs from the root in the first tree
         # and one level down in the second: both are the key b"\x02"
         table = RootBranches(5, STANDARD)
-        table.split([0, 1, 2])
+        table.split(b"\x00\x01\x02")
         assert set(table) == {b"", b"\x02"}
-        table.split([0, 1, 2, 3, 1])
+        table.split(b"\x00\x01\x02\x03\x01")
         assert set(table) == {b"", b"\x02", b"\x02\x03"}
 
 

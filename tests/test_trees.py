@@ -136,6 +136,15 @@ class TestGeneration:
     def test_counts_match_known_sequence(self, n):
         assert sum(1 for _ in generate_free_trees(n)) == FREE_TREE_COUNTS[n - 1]
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_sequences_are_bytes_in_strictly_decreasing_order(self, n):
+        # the walk steps through level sequences in decreasing order and
+        # keeps one per class, so the stream has no repeat and no step back
+        seqs = list(free_level_sequences(n))
+        assert all(type(s) is bytes and len(s) == n for s in seqs)
+        assert all(a > b for a, b in zip(seqs, seqs[1:]))
+        assert len(seqs) == FREE_TREE_COUNTS[n - 1]
+
     def test_default_cap_is_the_last_known_count(self):
         assert DEFAULT_MAX_N == len(FREE_TREE_COUNTS) == 22
 
@@ -242,7 +251,7 @@ class TestLevelTree:
         # RootBranches.split keys a root's branches by the bytes between the
         # depth-1 entries of the level sequence
         for levels in free_level_sequences(n):
-            assert branch_keys(level_tree(levels)) == bytes(levels).split(b"\x01")[1:]
+            assert branch_keys(level_tree(levels)) == levels.split(b"\x01")[1:]
 
     @pytest.mark.parametrize(
         "levels", [[], [1], [0, 0], [0, 2], [0, 1, 3], [0, 1, 2, 1, 3], [0, 1, -1]]
