@@ -13,7 +13,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations_with_replacement, compress, count, islice
+from itertools import chain, combinations_with_replacement, compress, count, groupby, islice
 from operator import itemgetter, le, lt, sub
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -321,16 +321,27 @@ def _serve_shard(
         os._exit(status)
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit's text -> its value
+
+
 @dataclass(frozen=True)
 class DominationOrder:
+    """The domination relation over all free trees on n vertices, one bitset a tree.
+
+    Bit j of dominated_by[i] is set iff trees[i] is dominated by trees[j]:
+    P(Range >= k) is at most as large on tree i as on tree j at every k,
+    equals included, so every tree is in its own set.
+    """
+
     n: int
     model: WalkModel
     trees: tuple[Tree, ...]
-    dominated_by: tuple[tuple[int, ...], ...]  # dominated_by[i]: j with trees[i] <= trees[j]
+    dominated_by: tuple[int, ...]
 
     def dominators_of(self, i: int) -> list[int]:
-        """Indices j such that trees[i] is dominated by trees[j] (incl. equals)."""
-        return list(self.dominated_by[i])
+        """Indices j such that trees[i] is dominated by trees[j] (incl. equals), increasing."""
+        bits = f"{self.dominated_by[i]:b}"[::-1].encode().translate(_BITS)
+        return list(compress(count(), bits))
 
     def to_json_dict(self) -> dict:
         return {
@@ -341,14 +352,38 @@ class DominationOrder:
         }
 
 
+def _domination_bitsets(fs: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Bit j of the i-th set: f_j^p <= f_i^p at every p, so tree i is dominated by tree j.
+
+    fs: the padded f vectors of trees on one vertex count in one model. That is
+    the negation of _tails_above(fs[i], fs[j]), and no pair is compared on its
+    own. Each column p sorts the trees by f^p and walks its groups of equal
+    value in increasing order: a running bitset takes in each group, then every
+    tree of the group ANDs it into its own set, so trees tied at p land in each
+    other's sets. A tree's set is the AND over all columns.
+    """
+    indices = range(len(fs))
+    dominated_by = [(1 << len(fs)) - 1] * len(fs)
+    for column in zip(*fs):
+        value, below = column.__getitem__, 0
+        for _, group in groupby(sorted(indices, key=value), value):
+            group = list(group)
+            for j in group:
+                below |= 1 << j
+            for i in group:
+                dominated_by[i] &= below
+    return tuple(dominated_by)
+
+
 def pairwise_domination_order(n: int, m: WalkModel) -> DominationOrder:
-    """Domination relation over all free trees on n vertices, from the scan's f vectors."""
+    """Domination relation over all free trees on n vertices, from the scan's f vectors.
+
+    The trees come in stream order, and the relation is one bitset a tree from
+    the sorted columns of their f vectors (_domination_bitsets).
+    """
     _, levels, fs = zip(*_f_vectors(n, m, "all", 0, 1))
     trees = tuple(level_tree(seq).tree for seq in levels)
-    dominated_by = tuple(
-        tuple(j for j, fb in enumerate(fs) if not _tails_above(fa, fb)) for fa in fs
-    )
-    return DominationOrder(n, m, trees, dominated_by)
+    return DominationOrder(n, m, trees, _domination_bitsets(fs))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import click
 
@@ -73,16 +73,18 @@ def parse_legs(text: str) -> list[int]:
     return legs
 
 
-def emit(data: dict, fmt: str, out: str | None, rows: list[dict] | None = None) -> None:
+def emit(
+    data: dict, fmt: str, out: str | None, rows: Callable[[], list[dict]] | None = None
+) -> None:
     """Write one result in the chosen format.
 
-    ``rows`` is the flat row view used for csv/table; json always gets the
-    full nested dict.
+    ``rows`` builds the flat row view used for csv/table, and only those
+    formats call it; json always gets the full nested dict.
     """
     if fmt == "json":
         text = json.dumps(data, indent=2) + "\n"
     else:
-        rows = rows if rows is not None else [data]
+        rows = rows() if rows is not None else [data]
         headers = list(rows[0].keys()) if rows else []
         if fmt == "csv":
             buf = io.StringIO()
@@ -167,11 +169,15 @@ def dist(tree_spec: str, model: str, fmt: str, out: str | None) -> None:
     """Exact range distribution of a tree's walk space."""
     t = load_tree(tree_spec)
     d = range_distribution(t, WalkModel(model))
-    rows = [
-        {"range": r, "classes": str(c), "denominator": str(d.denominator)}
-        for r, c in d.class_counts.items()
-    ]
-    emit(d.to_json_dict(), fmt, out, rows)
+    emit(
+        d.to_json_dict(),
+        fmt,
+        out,
+        lambda: [
+            {"range": r, "classes": str(c), "denominator": str(d.denominator)}
+            for r, c in d.class_counts.items()
+        ],
+    )
 
 
 @main.command()
@@ -212,11 +218,15 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
     rep = analysis.compare_range(
         left, right, WalkModel(model), left_id=left_spec, right_id=right_spec
     )
-    rows = [
-        {"k": k, "tail_left": fraction_text(a), "tail_right": fraction_text(b)}
-        for k, a, b in rep.per_k
-    ]
-    emit(rep.to_json_dict(), fmt, out, rows)
+    emit(
+        rep.to_json_dict(),
+        fmt,
+        out,
+        lambda: [
+            {"k": k, "tail_left": fraction_text(a), "tail_right": fraction_text(b)}
+            for k, a, b in rep.per_k
+        ],
+    )
 
 
 @main.command()
@@ -230,16 +240,20 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
 def scan(n: int, model: str, family: str, fmt: str, out: str | None) -> None:
     """Compare every tree on n vertices against the path; exit 2 on violation."""
     result = analysis.scan_against_path(n, WalkModel(model), family)
-    rows = [
-        {
-            "n": result.n,
-            "model": result.model.value,
-            "family": result.family,
-            "trees_checked": result.trees_checked,
-            "violations": len(result.violations),
-        }
-    ]
-    emit(result.to_json_dict(), fmt, out, rows)
+    emit(
+        result.to_json_dict(),
+        fmt,
+        out,
+        lambda: [
+            {
+                "n": result.n,
+                "model": result.model.value,
+                "family": result.family,
+                "trees_checked": result.trees_checked,
+                "violations": len(result.violations),
+            }
+        ],
+    )
     if result.violations:
         click.echo(
             f"VIOLATION: {len(result.violations)} tail inequalities exceeded the path "
@@ -258,15 +272,19 @@ def scan(n: int, model: str, family: str, fmt: str, out: str | None) -> None:
 def order(n: int, model: str, fmt: str, out: str | None) -> None:
     """Pairwise domination order over all trees on n vertices."""
     result = analysis.pairwise_domination_order(n, WalkModel(model))
-    rows = [
-        {
-            "tree": i,
-            "edges": " ".join(f"{u}-{v}" for u, v in result.trees[i].edges),
-            "dominated_by": " ".join(map(str, result.dominators_of(i))),
-        }
-        for i in range(len(result.trees))
-    ]
-    emit(result.to_json_dict(), fmt, out, rows)
+    emit(
+        result.to_json_dict(),
+        fmt,
+        out,
+        lambda: [
+            {
+                "tree": i,
+                "edges": " ".join(f"{u}-{v}" for u, v in result.trees[i].edges),
+                "dominated_by": " ".join(map(str, result.dominators_of(i))),
+            }
+            for i in range(len(result.trees))
+        ],
+    )
 
 
 @main.command("verify-lemmas")
@@ -326,15 +344,19 @@ def verify_lemmas(
         if not reads_k:
             raise
         raise click.ClickException(f"--k {k} is too large to tabulate")
-    rows = [
-        {
-            "lemma": result.lemma,
-            "grid": result.grid,
-            "cases_checked": result.cases_checked,
-            "counterexamples": len(result.counterexamples),
-        }
-    ]
-    emit(result.to_json_dict(), fmt, out, rows)
+    emit(
+        result.to_json_dict(),
+        fmt,
+        out,
+        lambda: [
+            {
+                "lemma": result.lemma,
+                "grid": result.grid,
+                "cases_checked": result.cases_checked,
+                "counterexamples": len(result.counterexamples),
+            }
+        ],
+    )
     if not result.ok:
         click.echo(f"{len(result.counterexamples)} counterexamples found", err=True)
         sys.exit(VIOLATION_EXIT)
@@ -404,11 +426,15 @@ def gen_trees(n: int, fmt: str, out: str | None) -> None:
     """Emit one representative per isomorphism class of trees on n vertices."""
     trees = list(generate_free_trees(n))
     data = {"n": n, "count": len(trees), "trees": [list(t.edges) for t in trees]}
-    rows = [
-        {"tree": i, "edges": " ".join(f"{u}-{v}" for u, v in t.edges)}
-        for i, t in enumerate(trees)
-    ]
-    emit(data, fmt, out, rows)
+    emit(
+        data,
+        fmt,
+        out,
+        lambda: [
+            {"tree": i, "edges": " ".join(f"{u}-{v}" for u, v in t.edges)}
+            for i, t in enumerate(trees)
+        ],
+    )
 
 
 if __name__ == "__main__":

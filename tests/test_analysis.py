@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from giraw import analysis
 from giraw.analysis import (
+    DominationOrder,
     Verdict,
     Violation,
     center_violations,
@@ -383,6 +384,49 @@ class TestDominationOrder:
                     j for j, b in enumerate(order.trees) if compare_range(a, b, m).verdict in below
                 ]
                 assert order.dominators_of(i) == expect
+
+    @pytest.mark.parametrize("m", BOTH)
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_relation_is_the_tail_rule(self, n, m):
+        # past the walk oracle's reach, and through the standard ties at 9 and 10
+        fs = [f for _, _, f in analysis._f_vectors(n, m, "all", 0, 1)]
+        order = pairwise_domination_order(n, m)
+        for i, fa in enumerate(fs):
+            expect = [j for j, fb in enumerate(fs) if not analysis._tails_above(fa, fb)]
+            assert order.dominators_of(i) == expect
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_tied_trees_list_each_other(self, n):
+        fs = [tuple(f) for _, _, f in analysis._f_vectors(n, STANDARD, "all", 0, 1)]
+        tied = [i for i, f in enumerate(fs) if fs.count(f) > 1]
+        assert len(tied) == 2
+        i, j = tied
+        order = pairwise_domination_order(n, STANDARD)
+        assert j in order.dominators_of(i) and i in order.dominators_of(j)
+        assert order.dominators_of(i) == order.dominators_of(j)
+
+    def test_bitsets_of_hand_made_f_vectors(self):
+        fs = [
+            (0, 4, 6, 8),  # 0: below 1 and its twin 2
+            (0, 2, 5, 8),  # 1: below itself alone
+            (0, 4, 6, 8),  # 2: the twin of 0
+            (0, 1, 7, 8),  # 3: incomparable with 0, 1, 2 and 4
+            (0, 5, 4, 8),  # 4: incomparable with 0, 1, 2 and 3
+            (0, 5, 7, 8),  # 5: below every tree
+        ]
+        order = DominationOrder(4, STANDARD, (), analysis._domination_bitsets(fs))
+        got = [order.dominators_of(i) for i in range(len(fs))]
+        assert got == [[0, 1, 2], [1], [0, 1, 2], [3], [4], [0, 1, 2, 3, 4, 5]]
+        for i, fa in enumerate(fs):
+            assert got[i] == [j for j, fb in enumerate(fs) if not analysis._tails_above(fa, fb)]
+
+    @pytest.mark.parametrize("m", BOTH)
+    def test_no_pair_is_compared_on_its_own(self, m, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("order compared a pair of f vectors")
+
+        monkeypatch.setattr(analysis, "_tails_above", refuse)
+        assert len(pairwise_domination_order(10, m).trees) == 106
 
     def test_one_f_vector_per_tree(self, monkeypatch):
         # order reads the scan engine's f vectors: no tree is rooted, walked
