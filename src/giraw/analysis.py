@@ -344,12 +344,28 @@ class DominationOrder:
         return list(compress(count(), bits))
 
     def to_json_dict(self) -> dict:
+        """The JSON view; its dominated_by expands each set only as it is read."""
         return {
             "n": self.n,
             "model": self.model.value,
             "trees": [list(t.edges) for t in self.trees],
-            "dominated_by": {str(i): self.dominators_of(i) for i in range(len(self.trees))},
+            "dominated_by": _DominatorLists(self),
         }
+
+
+class _DominatorLists:
+    """dominated_by for the JSON writer, which reads items() alone.
+
+    The items are (str(i), order.dominators_of(i)) in increasing i, each list
+    built from its bitset as it is read, so no T x T structure is held.
+    """
+
+    def __init__(self, order: DominationOrder) -> None:
+        self._order = order
+
+    def items(self) -> Iterator[tuple[str, list[int]]]:
+        indices = range(len(self._order.dominated_by))
+        return zip(map(str, indices), map(self._order.dominators_of, indices))
 
 
 def _domination_bitsets(fs: Sequence[Sequence[int]]) -> tuple[int, ...]:

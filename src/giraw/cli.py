@@ -73,41 +73,167 @@ def parse_legs(text: str) -> list[int]:
     return legs
 
 
-def emit(
-    data: dict, fmt: str, out: str | None, rows: Callable[[], list[dict]] | None = None
-) -> None:
-    """Write one result in the chosen format.
+CHUNK = 1 << 16  # characters of output written at a time
 
-    ``rows`` builds the flat row view used for csv/table, and only those
-    formats call it; json always gets the full nested dict.
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_pieces(obj, nl: str = "\n") -> Iterator[str]:
+    """The text of json.dumps(obj, indent=2) in pieces; nl is a newline and obj's indent.
+
+    A list of exact ints, or of sequences of exact ints (an edge list), is
+    one str.join or one %-format, its types checked at C speed by
+    set(map(type, ...)); bool is an int subclass and takes the general path.
+    A dict, or any object with items(), is a JSON object whose values are
+    read one at a time, so it can build each value as it is written; its
+    keys must be str, where json.dumps would also convert numbers.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    if isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        types = set(map(type, obj))
+        flat = [x for seq in obj for x in seq] if types and types <= {list, tuple} else ()
+        if types == {int}:
+            yield "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
+        elif set(map(type, flat)) == {int}:
+            # one template a sequence length, all filled by one % at C speed
+            deeper = inner + "  "
+            template = {
+                k: "[" + deeper + ("," + deeper).join(["%d"] * k) + inner + "]"
+                for k in set(map(len, obj))
+            }
+            template[0] = "[]"
+            text = ("," + inner).join(map(template.__getitem__, map(len, obj)))
+            yield ("[" + inner + text + nl + "]") % tuple(flat)
+        else:
+            sep = "[" + inner
+            for item in obj:
+                yield sep
+                yield from _json_pieces(item, inner)
+                sep = "," + inner
+            yield "[]" if sep[0] == "[" else nl + "]"
+    elif isinstance(obj, str):
+        yield quote(obj)
+    elif obj is None:
+        yield "null"
+    elif obj is True:
+        yield "true"
+    elif obj is False:
+        yield "false"
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float):
+        yield _json_float(obj)
+    elif hasattr(obj, "items"):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = sep + quote(key) + ": "
+            if isinstance(value, str):  # the common leaf, written without a nested generator
+                yield head + quote(value)
+            else:
+                yield head
+                yield from _json_pieces(value, inner)
+            sep = "," + inner
+        yield "{}" if sep[0] == "{" else nl + "}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(obj) -> Iterator[str]:
+    """The text of json.dumps(obj, indent=2) and a newline, in pieces."""
+    yield from _json_pieces(obj)
+    yield "\n"
+
+
+def _csv_pieces(headers: list[str], rows: list[dict] | Iterator[dict]) -> Iterator[str]:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=headers)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row)
+        if buf.tell() >= CHUNK:
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
+
+
+def _table_pieces(
+    headers: list[str], rows: Callable[[], list[dict] | Iterator[dict]]
+) -> Iterator[str]:
+    """Left-aligned columns: one pass over rows() finds the widths, a second writes them."""
+    widths = [len(h) for h in headers]
+    for row in rows():
+        widths = [max(w, len(str(row.get(h, "")))) for h, w in zip(headers, widths)]
+    yield "  ".join(h.ljust(w) for h, w in zip(headers, widths)) + "\n"
+    for row in rows():
+        yield "  ".join(str(row.get(h, "")).ljust(w) for h, w in zip(headers, widths)) + "\n"
+
+
+def _chunks(pieces: Iterator[str]) -> Iterator[str]:
+    """The pieces joined into strings of at least CHUNK characters, the last maybe shorter."""
+    held: list[str] = []
+    size = 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= CHUNK:
+            yield "".join(held)
+            held.clear()
+            size = 0
+    yield "".join(held)
+
+
+def emit(
+    data: Callable[[], object],
+    fmt: str,
+    out: str | None,
+    rows: Callable[[], list[dict] | Iterator[dict]] | None = None,
+) -> None:
+    """Write one result in the chosen format, about CHUNK characters at a time.
+
+    ``data`` builds the full nested result, and only json calls it; the text is
+    that of ``json.dumps(data(), indent=2)`` plus a newline. ``rows`` builds
+    the flat row view used for csv/table, and only those formats call it: once
+    for the first row's keys, the headers, then once per pass (table makes two,
+    the first for the column widths); without it the one row is ``data()``.
+    No format holds its whole text.
     """
     if fmt == "json":
-        text = json.dumps(data, indent=2) + "\n"
+        pieces = _json_text(data())
     else:
-        rows = rows() if rows is not None else [data]
-        headers = list(rows[0].keys()) if rows else []
+        if rows is None:
+            rows = lambda: [data()]  # noqa: E731
+        headers = list(next(iter(rows()), {}))
         if fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=headers)
-            writer.writeheader()
-            writer.writerows(rows)
-            text = buf.getvalue()
+            pieces = _csv_pieces(headers, rows())
         else:  # table
-            cells = [[str(r.get(h, "")) for h in headers] for r in rows]
-            widths = [
-                max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
-                for i, h in enumerate(headers)
-            ]
-            lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-            lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
-            text = "\n".join(lines) + "\n"
+            pieces = _table_pieces(headers, rows)
     if out:
         try:
-            Path(out).write_text(text)
+            with open(out, "w") as f:
+                f.writelines(_chunks(pieces))
         except OSError as exc:
             raise click.ClickException(f"--out: {exc}")
     else:
-        click.echo(text, nl=False)
+        try:
+            for chunk in _chunks(pieces):
+                click.echo(chunk, nl=False)
+        except BrokenPipeError:
+            raise  # Click exits 1 without a message
+        except OSError as exc:  # such as a full disk
+            raise click.ClickException(f"stdout: {exc}")
 
 
 model_option = click.option(
@@ -170,7 +296,7 @@ def dist(tree_spec: str, model: str, fmt: str, out: str | None) -> None:
     t = load_tree(tree_spec)
     d = range_distribution(t, WalkModel(model))
     emit(
-        d.to_json_dict(),
+        d.to_json_dict,
         fmt,
         out,
         lambda: [
@@ -202,7 +328,7 @@ def count(tree_spec: str, k: int | None, model: str, fmt: str, out: str | None) 
         "bounded_labelings": str(labelings),
         "range_classes": str(labelings - before),
     }
-    emit(data, fmt, out)
+    emit(lambda: data, fmt, out)
 
 
 @main.command()
@@ -219,7 +345,7 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
         left, right, WalkModel(model), left_id=left_spec, right_id=right_spec
     )
     emit(
-        rep.to_json_dict(),
+        rep.to_json_dict,
         fmt,
         out,
         lambda: [
@@ -241,7 +367,7 @@ def scan(n: int, model: str, family: str, fmt: str, out: str | None) -> None:
     """Compare every tree on n vertices against the path; exit 2 on violation."""
     result = analysis.scan_against_path(n, WalkModel(model), family)
     emit(
-        result.to_json_dict(),
+        result.to_json_dict,
         fmt,
         out,
         lambda: [
@@ -273,17 +399,17 @@ def order(n: int, model: str, fmt: str, out: str | None) -> None:
     """Pairwise domination order over all trees on n vertices."""
     result = analysis.pairwise_domination_order(n, WalkModel(model))
     emit(
-        result.to_json_dict(),
+        result.to_json_dict,
         fmt,
         out,
-        lambda: [
+        lambda: (
             {
                 "tree": i,
-                "edges": " ".join(f"{u}-{v}" for u, v in result.trees[i].edges),
+                "edges": " ".join(f"{u}-{v}" for u, v in t.edges),
                 "dominated_by": " ".join(map(str, result.dominators_of(i))),
             }
-            for i in range(len(result.trees))
-        ],
+            for i, t in enumerate(result.trees)
+        ),
     )
 
 
@@ -345,7 +471,7 @@ def verify_lemmas(
             raise
         raise click.ClickException(f"--k {k} is too large to tabulate")
     emit(
-        result.to_json_dict(),
+        result.to_json_dict,
         fmt,
         out,
         lambda: [
@@ -411,7 +537,7 @@ def sample(
             rep = sampling.estimate_pair_distance(t, u, v, m, samples, seed)
     except MemoryError:  # the per-walk statistics, one label-dtype entry a walk
         raise click.ClickException(f"--samples {samples} is too many to hold")
-    emit(rep.to_json_dict(), fmt, out)
+    emit(rep.to_json_dict, fmt, out)
     exact = f" (exact {rep.exact})" if rep.exact is not None else ""
     click.echo(
         f"{rep.statistic}: {rep.estimate:.6f} +/- {rep.std_error:.6f}{exact}", err=True
@@ -425,9 +551,8 @@ def sample(
 def gen_trees(n: int, fmt: str, out: str | None) -> None:
     """Emit one representative per isomorphism class of trees on n vertices."""
     trees = list(generate_free_trees(n))
-    data = {"n": n, "count": len(trees), "trees": [list(t.edges) for t in trees]}
     emit(
-        data,
+        lambda: {"n": n, "count": len(trees), "trees": [list(t.edges) for t in trees]},
         fmt,
         out,
         lambda: [

@@ -100,11 +100,6 @@ class Tree:
             path.append(parent[path[-1]])
         return path
 
-    def _centres(self) -> set[int]:
-        """The vertices of least eccentricity: the middle one or two of any longest path."""
-        path = self._longest_path
-        return {path[len(path) // 2], path[(len(path) - 1) // 2]}
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbours of every vertex, built once per tree."""
@@ -144,18 +139,6 @@ class Tree:
     def diameter(self) -> int:
         """Edges on a longest path, found once per tree."""
         return len(self._longest_path) - 1
-
-    def canonical_form(self) -> str:
-        """Isomorphism-invariant canonical bracket string (AHU on a center root)."""
-
-        def encode(root: int) -> str:
-            rt = reroot(self, root)
-            codes: dict[int, str] = {}
-            for v in rt.postorder():  # children first, so no recursion
-                codes[v] = "(" + "".join(sorted(codes.pop(c) for c in rt.children[v])) + ")"
-            return codes[root]
-
-        return min(encode(c) for c in self._centres())
 
 
 @dataclass(frozen=True)

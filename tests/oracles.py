@@ -111,6 +111,25 @@ def tree_from_prufer(seq: list[int]) -> Tree:
     return Tree(n=n, edges=tuple(edges))
 
 
+def centres(t: Tree) -> set[int]:
+    """The vertices of least eccentricity: the middle one or two of any longest path."""
+    path = t._longest_path
+    return {path[len(path) // 2], path[(len(path) - 1) // 2]}
+
+
+def canonical_form(t: Tree) -> str:
+    """Isomorphism-invariant canonical bracket string (AHU on a centre root)."""
+
+    def encode(root: int) -> str:
+        rt = reroot(t, root)
+        codes: dict[int, str] = {}
+        for v in rt.postorder():  # children first, so no recursion
+            codes[v] = "(" + "".join(sorted(codes.pop(c) for c in rt.children[v])) + ")"
+        return codes[root]
+
+    return min(encode(c) for c in centres(t))
+
+
 def free_tree_classes_by_prufer(n: int) -> set:
     """Canonical forms of all isomorphism classes of trees on n vertices.
 
@@ -118,11 +137,11 @@ def free_tree_classes_by_prufer(n: int) -> set:
     level-sequence generator it checks.
     """
     if n == 1:
-        return {Tree(1, ()).canonical_form()}
+        return {canonical_form(Tree(1, ()))}
     if n == 2:
-        return {Tree(2, ((0, 1),)).canonical_form()}
+        return {canonical_form(Tree(2, ((0, 1),)))}
     return {
-        tree_from_prufer(list(seq)).canonical_form()
+        canonical_form(tree_from_prufer(list(seq)))
         for seq in itertools.product(range(n), repeat=n - 2)
     }
 

@@ -29,7 +29,7 @@ from giraw.counting import (
 from giraw.sampling import WalkSampler, estimate_expected_range
 from giraw.trees import generate_free_trees, make_path, make_star, parse_tree, reroot
 
-from oracles import oracle_F, oracle_f, oracle_range_counts
+from oracles import canonical_form, oracle_F, oracle_f, oracle_range_counts
 
 STANDARD = WalkModel.STANDARD
 LAZY = WalkModel.LAZY
@@ -88,11 +88,11 @@ def test_criterion_4_standard_spiders_dominated():
 
 
 def test_criterion_5_double_broom():
-    broom_form = parse_tree("0 1\n1 2\n2 3\n0 4\n0 5\n3 6\n3 7").canonical_form()
-    path_form = make_path(7).tree.canonical_form()
+    broom_form = canonical_form(parse_tree("0 1\n1 2\n2 3\n0 4\n0 5\n3 6\n3 7"))
+    path_form = canonical_form(make_path(7).tree)
     order = pairwise_domination_order(8, STANDARD)
-    bi = next(i for i, t in enumerate(order.trees) if t.canonical_form() == broom_form)
-    dominators = {order.trees[j].canonical_form() for j in order.dominators_of(bi)}
+    bi = next(i for i, t in enumerate(order.trees) if canonical_form(t) == broom_form)
+    dominators = {canonical_form(order.trees[j]) for j in order.dominators_of(bi)}
     report(
         "criterion 5: 7-edge double broom dominated only by itself and the path",
         dominators == {broom_form, path_form},

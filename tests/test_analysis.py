@@ -45,6 +45,7 @@ from giraw.trees import (
 
 from fresh import run_python
 from oracles import (
+    canonical_form,
     degrees,
     oracle_center_violations,
     oracle_difference_violations,
@@ -477,13 +478,13 @@ class TestDominationOrder:
         assert rep.strict_at == (3, 4)
 
     def test_double_broom_dominated_only_by_self_and_path(self):
-        broom_form = parse_tree(DOUBLE_BROOM).canonical_form()
-        path_form = make_path(7).tree.canonical_form()
+        broom_form = canonical_form(parse_tree(DOUBLE_BROOM))
+        path_form = canonical_form(make_path(7).tree)
         order = pairwise_domination_order(8, STANDARD)
         bi = next(
-            i for i, t in enumerate(order.trees) if t.canonical_form() == broom_form
+            i for i, t in enumerate(order.trees) if canonical_form(t) == broom_form
         )
-        dominators = {order.trees[j].canonical_form() for j in order.dominators_of(bi)}
+        dominators = {canonical_form(order.trees[j]) for j in order.dominators_of(bi)}
         assert dominators == {broom_form, path_form}
 
 

@@ -9,12 +9,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from giraw import analysis, counting, trees
+from giraw import analysis, cli, counting, trees
 from giraw.cli import load_tree, main
 from giraw.trees import Tree, TreeError, make_path, make_spider, make_star
 
 from fresh import SRC, run_python
+from oracles import canonical_form, centres
 
 
 @pytest.fixture
@@ -98,13 +101,114 @@ def test_help_exits_0(runner, args):
     assert res.exit_code == 0 and res.output.startswith("Usage: ")
 
 
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers().map(lambda x: x * 10**40),
+        st.floats(),
+        st.text(),
+        st.sampled_from(["", "\u00e9t\u00e9", "\u2603 \U0001f332", 'a"b\\c\n\t\x00\x1b']),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=30,
+)
+INT_ROWS = st.lists(
+    st.one_of(
+        st.lists(st.integers()),
+        st.tuples(st.integers(), st.integers()),
+        st.tuples(st.integers(), st.booleans()),
+        st.lists(st.one_of(st.integers(), st.floats())),
+    )
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            JSON_VALUES,
+            st.lists(st.one_of(st.integers(), st.booleans())),
+            INT_ROWS,
+            st.dictionaries(st.text(), INT_ROWS),
+        )
+    )
+    def test_text_is_json_dumps_with_indent_2(self, obj):
+        assert "".join(cli._json_text(obj)) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [[], (), {}, [[]], [[], [1]], [0, -1, 2**70], [(0, 1), (1, 2)], [True, 1], [(1, True)]],
+    )
+    def test_fast_paths_and_empty_containers(self, obj):
+        assert "".join(cli._json_text(obj)) == json.dumps(obj, indent=2) + "\n"
+
+    def test_a_mapping_is_read_one_value_at_a_time(self):
+        built = []
+
+        class Lazy:
+            def items(self):
+                for i in range(3):
+                    built.append(i)
+                    yield str(i), [i] * i
+
+        pieces = cli._json_pieces({"lazy": Lazy()})
+        text = next(pieces) + next(pieces) + next(pieces)
+        assert (text, built) == ('{\n  "lazy": {\n    "0": []', [0])
+        rest = "".join(pieces)
+        assert built == [0, 1, 2]
+        assert json.loads(text + rest) == {"lazy": {"0": [], "1": [1], "2": [2, 2]}}
+
+    def test_other_objects_are_rejected_as_json_dumps_rejects_them(self):
+        with pytest.raises(TypeError, match="Object of type complex is not JSON serializable"):
+            "".join(cli._json_text([1j]))
+        with pytest.raises(TypeError, match="keys must be str, not int"):
+            "".join(cli._json_text({1: 2}))
+
+    def test_chunks_hold_at_least_chunk_characters_but_the_last(self):
+        pieces = ["x" * k for k in range(1, 1500)]
+        chunks = list(cli._chunks(iter(pieces)))
+        assert "".join(chunks) == "".join(pieces) and len(chunks) > 10
+        assert all(cli.CHUNK <= len(c) < cli.CHUNK + 1500 for c in chunks[:-1])
+        assert len(chunks[-1]) < cli.CHUNK
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="writes to /dev/full")
+@pytest.mark.parametrize("args", [["order", "--n", "12"], ["scan", "--n", "5"]])
+def test_a_full_stdout_is_one_line_and_exit_1(args):
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "giraw.cli", *args], env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    want = "Error: stdout: [Errno 28] No space left on device\n"
+    assert (res.returncode, res.stderr) == (1, want)
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # as `giraw order --n 12 | head -c 10`: 2.5 MB of JSON, 10 bytes read
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "giraw.cli", "order", "--n", "12"],
+        env=dict(os.environ, PYTHONPATH=SRC), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (head, proc.wait(timeout=60), err) == (b'{\n  "n": 1', 1, b"")
+
+
 class TestLoadTree:
     def test_shorthands_match_constructors(self):
-        assert load_tree("path:7").canonical_form() == make_path(7).tree.canonical_form()
-        assert load_tree("star:4").canonical_form() == make_star(4).tree.canonical_form()
+        assert canonical_form(load_tree("path:7")) == canonical_form(make_path(7).tree)
+        assert canonical_form(load_tree("star:4")) == canonical_form(make_star(4).tree)
         assert (
-            load_tree("spider:2,2,1").canonical_form()
-            == make_spider([2, 2, 1]).tree.canonical_form()
+            canonical_form(load_tree("spider:2,2,1"))
+            == canonical_form(make_spider([2, 2, 1]).tree)
         )
 
     @pytest.mark.parametrize(
@@ -122,7 +226,7 @@ class TestLoadTree:
         monkeypatch.setattr(trees, "reroot", lambda t, r: roots.append((t, r)) or reroot(t, r))
         assert runner.invoke(main, args).exit_code == 0
         assert len(roots) == len({id(t) for t, _ in roots}) == loaded
-        assert all(r in t._centres() for t, r in roots)
+        assert all(r in centres(t) for t, r in roots)
 
     def test_sample_walks_a_shorthand_tree_from_vertex_0(self, runner, monkeypatch):
         # the edges and the rooting of make_spider, which the seeded streams read
@@ -131,7 +235,7 @@ class TestLoadTree:
         args = ["sample", "--tree", "spider:2,3,1", "--samples", "10", "--seed", "1"]
         assert runner.invoke(main, args).exit_code == 0
         (t, first), (_, centre) = roots
-        assert (t.edges, first) == (make_spider([2, 3, 1]).tree.edges, 0) and centre in t._centres()
+        assert (t.edges, first) == (make_spider([2, 3, 1]).tree.edges, 0) and centre in centres(t)
 
     def test_file_input(self, tmp_path):
         f = tmp_path / "t.edges"
@@ -378,6 +482,52 @@ class TestOrder:
         res = runner.invoke(main, ["order", "--n", "10", "--model", model])
         assert res.exit_code == 0
         assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "b8a15b016e217d115dfe808e5d53665c26b7c5e36a24848187dbe98e0592906f"),
+            ("table", "5e14ea8a8ea90909fd8f1447aec485c42ea53dde4935f2a21d2514274f5ae858"),
+        ],
+    )
+    def test_n10_rows_are_pinned_and_build_no_json_view(self, runner, monkeypatch, fmt, digest):
+        def no_json(self):
+            raise AssertionError("csv and table read the rows alone")
+
+        monkeypatch.setattr(analysis.DominationOrder, "to_json_dict", no_json)
+        res = runner.invoke(main, ["order", "--n", "10", "--format", fmt])
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+    @pytest.mark.parametrize("model", ["standard", "lazy"])
+    def test_stdout_is_json_dumps_of_the_eager_dict(self, runner, model):
+        for n in range(1, 12):
+            order = analysis.pairwise_domination_order(n, counting.WalkModel(model))
+            eager = dict(order.to_json_dict())
+            indices = range(len(order.trees))
+            eager["dominated_by"] = {str(i): order.dominators_of(i) for i in indices}
+            res = runner.invoke(main, ["order", "--n", str(n), "--model", model])
+            assert res.exit_code == 0
+            assert res.stdout == json.dumps(eager, indent=2) + "\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_peaks_below_40_mib(self, n):
+        # 75 and 329 MiB when the relation was expanded into lists and the
+        # text built whole; n = 14's text alone is 31 MB. A child starts from
+        # its parent's peak, so a fresh interpreter runs the command, not
+        # this large one
+        code = (
+            "import os, subprocess, sys\n"
+            f"args = [sys.executable, '-m', 'giraw.cli', 'order', '--n', '{n}']\n"
+            "proc = subprocess.Popen(args, stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(proc.returncode, usage.ru_maxrss)\n"
+        )
+        status, maxrss_kib = map(int, run_python(code).split())
+        assert status == 0
+        assert maxrss_kib / 1024 < 40
 
 
 class TestVerifyLemmas:
