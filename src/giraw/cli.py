@@ -11,7 +11,6 @@ counterexample was found (scan / verify-lemmas). Every error is one line,
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from contextlib import contextmanager
@@ -21,7 +20,7 @@ from typing import Callable, Iterator
 import click
 
 from . import analysis
-from .counting import WalkModel, bounded_counts, fraction_text, range_distribution
+from .counting import WalkModel, bounded_counts, range_distribution
 from .trees import (
     DEFAULT_MAX_N,
     Tree,
@@ -73,19 +72,6 @@ def parse_legs(text: str) -> list[int]:
     return legs
 
 
-CHUNK = 1 << 16  # characters of output written at a time
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == -float("inf"):
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _json_pieces(obj, nl: str = "\n") -> Iterator[str]:
     """The text of json.dumps(obj, indent=2) in pieces; nl is a newline and obj's indent.
 
@@ -94,7 +80,10 @@ def _json_pieces(obj, nl: str = "\n") -> Iterator[str]:
     set(map(type, ...)); bool is an int subclass and takes the general path.
     A dict, or any object with items(), is a JSON object whose values are
     read one at a time, so it can build each value as it is written; its
-    keys must be str, where json.dumps would also convert numbers.
+    keys must be str, where json.dumps would also convert numbers. A str or
+    an exact int is written here, and every other leaf is json.dumps(obj).
+    Each item's first piece carries its separator and key, so a container of
+    flat items is one piece an item: one write each on an unbuffered stdout.
     """
     quote = json.encoder.encode_basestring_ascii
     if isinstance(obj, (list, tuple)):
@@ -116,22 +105,15 @@ def _json_pieces(obj, nl: str = "\n") -> Iterator[str]:
         else:
             sep = "[" + inner
             for item in obj:
-                yield sep
-                yield from _json_pieces(item, inner)
+                pieces = _json_pieces(item, inner)
+                yield sep + next(pieces)
+                yield from pieces
                 sep = "," + inner
             yield "[]" if sep[0] == "[" else nl + "]"
     elif isinstance(obj, str):
         yield quote(obj)
-    elif obj is None:
-        yield "null"
-    elif obj is True:
-        yield "true"
-    elif obj is False:
-        yield "false"
-    elif isinstance(obj, int):
+    elif type(obj) is int:
         yield int.__repr__(obj)
-    elif isinstance(obj, float):
-        yield _json_float(obj)
     elif hasattr(obj, "items"):
         inner = nl + "  "
         sep = "{" + inner
@@ -142,31 +124,13 @@ def _json_pieces(obj, nl: str = "\n") -> Iterator[str]:
             if isinstance(value, str):  # the common leaf, written without a nested generator
                 yield head + quote(value)
             else:
-                yield head
-                yield from _json_pieces(value, inner)
+                pieces = _json_pieces(value, inner)
+                yield head + next(pieces)
+                yield from pieces
             sep = "," + inner
         yield "{}" if sep[0] == "{" else nl + "}"
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_text(obj) -> Iterator[str]:
-    """The text of json.dumps(obj, indent=2) and a newline, in pieces."""
-    yield from _json_pieces(obj)
-    yield "\n"
-
-
-def _csv_pieces(headers: list[str], rows: list[dict] | Iterator[dict]) -> Iterator[str]:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=headers)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-        if buf.tell() >= CHUNK:
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-    yield buf.getvalue()
+        yield json.dumps(obj)
 
 
 def _table_pieces(
@@ -181,58 +145,56 @@ def _table_pieces(
         yield "  ".join(str(row.get(h, "")).ljust(w) for h, w in zip(headers, widths)) + "\n"
 
 
-def _chunks(pieces: Iterator[str]) -> Iterator[str]:
-    """The pieces joined into strings of at least CHUNK characters, the last maybe shorter."""
-    held: list[str] = []
-    size = 0
-    for piece in pieces:
-        held.append(piece)
-        size += len(piece)
-        if size >= CHUNK:
-            yield "".join(held)
-            held.clear()
-            size = 0
-    yield "".join(held)
-
-
 def emit(
     data: Callable[[], object],
     fmt: str,
     out: str | None,
     rows: Callable[[], list[dict] | Iterator[dict]] | None = None,
 ) -> None:
-    """Write one result in the chosen format, about CHUNK characters at a time.
+    """Write one result in the chosen format into one text stream, stdout or out.
 
     ``data`` builds the full nested result, and only json calls it; the text is
     that of ``json.dumps(data(), indent=2)`` plus a newline. ``rows`` builds
     the flat row view used for csv/table, and only those formats call it: once
     for the first row's keys, the headers, then once per pass (table makes two,
-    the first for the column widths); without it the one row is ``data()``.
-    No format holds its whole text.
+    the first for the column widths). Without it the one row is ``data()``
+    with each list replaced by its length. Every piece goes straight into the
+    stream, whose own buffer bounds memory, so no format holds its whole text.
     """
-    if fmt == "json":
-        pieces = _json_text(data())
-    else:
-        if rows is None:
-            rows = lambda: [data()]  # noqa: E731
+    if rows is None:
+        rows = lambda: [  # noqa: E731
+            {key: len(v) if isinstance(v, list) else v for key, v in data().items()}
+        ]
+
+    def write(stream) -> None:
+        if fmt == "json":
+            stream.writelines(_json_pieces(data()))
+            stream.write("\n")
+            return
         headers = list(next(iter(rows()), {}))
         if fmt == "csv":
-            pieces = _csv_pieces(headers, rows())
+            writer = csv.DictWriter(stream, fieldnames=headers)
+            writer.writeheader()
+            writer.writerows(rows())
         else:  # table
-            pieces = _table_pieces(headers, rows)
+            stream.writelines(_table_pieces(headers, rows))
+
     if out:
         try:
             with open(out, "w") as f:
-                f.writelines(_chunks(pieces))
+                write(f)
         except OSError as exc:
             raise click.ClickException(f"--out: {exc}")
     else:
         try:
-            for chunk in _chunks(pieces):
-                click.echo(chunk, nl=False)
+            write(sys.stdout)
+            sys.stdout.flush()
         except BrokenPipeError:
             raise  # Click exits 1 without a message
         except OSError as exc:  # such as a full disk
+            # a buffered stdout still holds bytes, whose flush at exit would
+            # fail again and print a second error; exit without stdout
+            sys.stdout = None
             raise click.ClickException(f"stdout: {exc}")
 
 
@@ -344,15 +306,7 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
     rep = analysis.compare_range(
         left, right, WalkModel(model), left_id=left_spec, right_id=right_spec
     )
-    emit(
-        rep.to_json_dict,
-        fmt,
-        out,
-        lambda: [
-            {"k": k, "tail_left": fraction_text(a), "tail_right": fraction_text(b)}
-            for k, a, b in rep.per_k
-        ],
-    )
+    emit(rep.to_json_dict, fmt, out, lambda: rep.to_json_dict()["per_k"])
 
 
 @main.command()
@@ -366,20 +320,7 @@ def compare(left_spec: str, right_spec: str, model: str, fmt: str, out: str | No
 def scan(n: int, model: str, family: str, fmt: str, out: str | None) -> None:
     """Compare every tree on n vertices against the path; exit 2 on violation."""
     result = analysis.scan_against_path(n, WalkModel(model), family)
-    emit(
-        result.to_json_dict,
-        fmt,
-        out,
-        lambda: [
-            {
-                "n": result.n,
-                "model": result.model.value,
-                "family": result.family,
-                "trees_checked": result.trees_checked,
-                "violations": len(result.violations),
-            }
-        ],
-    )
+    emit(result.to_json_dict, fmt, out)
     if result.violations:
         click.echo(
             f"VIOLATION: {len(result.violations)} tail inequalities exceeded the path "
@@ -470,19 +411,7 @@ def verify_lemmas(
         if not reads_k:
             raise
         raise click.ClickException(f"--k {k} is too large to tabulate")
-    emit(
-        result.to_json_dict,
-        fmt,
-        out,
-        lambda: [
-            {
-                "lemma": result.lemma,
-                "grid": result.grid,
-                "cases_checked": result.cases_checked,
-                "counterexamples": len(result.counterexamples),
-            }
-        ],
-    )
+    emit(result.to_json_dict, fmt, out)
     if not result.ok:
         click.echo(f"{len(result.counterexamples)} counterexamples found", err=True)
         sys.exit(VIOLATION_EXIT)

@@ -139,14 +139,14 @@ class TestJsonWriter:
         )
     )
     def test_text_is_json_dumps_with_indent_2(self, obj):
-        assert "".join(cli._json_text(obj)) == json.dumps(obj, indent=2) + "\n"
+        assert "".join(cli._json_pieces(obj)) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize(
         "obj",
         [[], (), {}, [[]], [[], [1]], [0, -1, 2**70], [(0, 1), (1, 2)], [True, 1], [(1, True)]],
     )
     def test_fast_paths_and_empty_containers(self, obj):
-        assert "".join(cli._json_text(obj)) == json.dumps(obj, indent=2) + "\n"
+        assert "".join(cli._json_pieces(obj)) == json.dumps(obj, indent=2)
 
     def test_a_mapping_is_read_one_value_at_a_time(self):
         built = []
@@ -158,7 +158,7 @@ class TestJsonWriter:
                     yield str(i), [i] * i
 
         pieces = cli._json_pieces({"lazy": Lazy()})
-        text = next(pieces) + next(pieces) + next(pieces)
+        text = next(pieces)
         assert (text, built) == ('{\n  "lazy": {\n    "0": []', [0])
         rest = "".join(pieces)
         assert built == [0, 1, 2]
@@ -166,28 +166,87 @@ class TestJsonWriter:
 
     def test_other_objects_are_rejected_as_json_dumps_rejects_them(self):
         with pytest.raises(TypeError, match="Object of type complex is not JSON serializable"):
-            "".join(cli._json_text([1j]))
+            "".join(cli._json_pieces([1j]))
         with pytest.raises(TypeError, match="keys must be str, not int"):
-            "".join(cli._json_text({1: 2}))
+            "".join(cli._json_pieces({1: 2}))
 
-    def test_chunks_hold_at_least_chunk_characters_but_the_last(self):
-        pieces = ["x" * k for k in range(1, 1500)]
-        chunks = list(cli._chunks(iter(pieces)))
-        assert "".join(chunks) == "".join(pieces) and len(chunks) > 10
-        assert all(cli.CHUNK <= len(c) < cli.CHUNK + 1500 for c in chunks[:-1])
-        assert len(chunks[-1]) < cli.CHUNK
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["order", "--n", "7"],
+        ["scan", "--n", "6"],
+        ["count", "--tree", "path:5"],
+        ["verify-lemmas", "--lemma", "spidersums", "--legs", "2,2,1", "--k", "6"],
+        ["sample", "--tree", "path:5", "--samples", "100", "--seed", "1"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_out_file_bytes_equal_stdout_bytes(runner, tmp_path, args, fmt):
+    # one write path: the --out file and stdout are the same text stream's bytes
+    shown = runner.invoke(main, [*args, "--format", fmt])
+    out = tmp_path / "out"
+    written = runner.invoke(main, [*args, "--format", fmt, "--out", str(out)])
+    assert shown.exit_code == written.exit_code == 0
+    assert written.stdout_bytes == b""
+    assert out.read_bytes() == shown.stdout_bytes != b""
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["scan", "--n", "10", "--format", "csv"],
+         "2371e1ef8dbb8985e53397b79170c4b167c4649f937845439883011b70387cf6"),
+        (["scan", "--n", "10", "--model", "lazy", "--format", "table"],
+         "5f73976f8e58183fc1fb77fead24d96be184d7800e72b9b98dc3dcaa112d93be"),
+        (["verify-lemmas", "--lemma", "difference-monotone", "--model", "lazy", "--a-max", "24",
+          "--k-max", "24", "--tree-n-max", "8", "--format", "csv"],
+         "eabc60f835885d408b29ac8981085477dc37a10dfda53ba8ae7484a1a3cfe2d4"),
+        (["verify-lemmas", "--lemma", "summand-comparison", "--legs", "60,40,20", "--k", "70",
+          "--format", "table"],
+         "8289ca72b17493d62ce297213246a2196532d93d52e15b568d68beb11cb9866b"),
+        (["count", "--tree", "path:300", "--k", "299", "--format", "table"],
+         "d645b3a5172c7dfa8dbe677a8a4d731bfdc481b04fa9b10548428175ac8c3955"),
+        (["sample", "--tree", "path:39", "--samples", "20000", "--seed", "11", "--format", "csv"],
+         "0fdfc09547d2a29c86b424d8dd63e4ca5aff6aae38f494ab12d4b2917806a5db"),
+        (["compare", "--left", "star:3", "--right", "path:3", "--format", "csv"],
+         "ff1c9b0843530b7ab34a5d0d40a909d0934eb1a64d52e596c343e8f6ac9cbc88"),
+        (["dist", "--tree", "path:30", "--format", "table"],
+         "dc5d098ed08f62cca374d37ebb1129bc7f32feac926d5e16fc2129cda070bd93"),
+    ],
+)
+def test_row_views_are_pinned(runner, args, digest):
+    # scan, verify-lemmas and count print their JSON view with each list
+    # counted, and compare its per_k list; byte for byte as the hand-written
+    # rows printed them
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="writes to /dev/full")
 @pytest.mark.parametrize("args", [["order", "--n", "12"], ["scan", "--n", "5"]])
 def test_a_full_stdout_is_one_line_and_exit_1(args):
+    # with a buffered stdout, as without PYTHONUNBUFFERED, scan's short text
+    # fails only at the flush, and its bytes stay in the buffer
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
         res = subprocess.run(
-            [sys.executable, "-m", "giraw.cli", *args], env=dict(os.environ, PYTHONPATH=SRC),
+            [sys.executable, "-m", "giraw.cli", *args], env=dict(env, PYTHONPATH=SRC),
             stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
         )
     want = "Error: stdout: [Errno 28] No space left on device\n"
     assert (res.returncode, res.stderr) == (1, want)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="writes to /dev/full")
+def test_a_full_out_file_is_one_line_and_exit_1():
+    res = subprocess.run(
+        [sys.executable, "-m", "giraw.cli", "count", "--tree", "path:3", "--out", "/dev/full"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+    )
+    want = "Error: --out: [Errno 28] No space left on device\n"
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", want)
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
